@@ -1,48 +1,39 @@
-"""Exact rational bound evaluators and graph-level bound checks.
+"""The bound table: exact rational right-hand sides and graph-level checks.
 
-Every evaluator returns a Fraction computed with integer arithmetic only.
-The short identifiers (eq1, theorem4, ...) are the stable names the CLI and
-reports use; each maps to a descriptive evaluator below.
+`BOUNDS` maps each stable identifier (eq1, theorem4, ...) to one `Bound`
+row: its formula, the parameters it needs, what it measures and when it
+applies. `bound_rhs`, `applicable` and `check` read the row; no other code
+knows the individual bounds. Every RHS is a Fraction computed with integer
+arithmetic only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from .errors import PreconditionError
 from .graph import Graph, has_triangle, is_connected, is_tree, is_two_connected
-from .steiner import avg_steiner_distance, steiner_wiener
+from .steiner import steiner_wiener
 from .transforms import weighted_sw_bound
 
 __all__ = [
+    "Bound",
     "BoundReport",
+    "BOUNDS",
     "BOUND_IDS",
-    "wiener_upper",
-    "wiener_upper_two_connected",
-    "sw_upper",
-    "wiener_upper_min_degree",
-    "sw_upper_min_degree",
-    "avg_upper_min_degree",
-    "sw_upper_triangle_free",
-    "avg_upper_triangle_free",
     "bound_rhs",
     "check",
     "applicable",
 ]
 
-BOUND_IDS = (
-    "eq1",
-    "eq2",
-    "theorem1",
-    "theorem3",
-    "lemma2",
-    "theorem4",
-    "corollary1",
-    "theorem5",
-    "corollary2",
-)
+_SLACK = {
+    "le": lambda measured, rhs: rhs - measured,
+    "ge": lambda measured, rhs: measured - rhs,
+    "eq": lambda measured, rhs: -abs(measured - rhs),
+}
 
 
 @dataclass(frozen=True)
@@ -61,6 +52,13 @@ class BoundReport:
     passed: bool
     vacuous: bool = False
 
+    @classmethod
+    def of(cls, name, measured, rhs, mode="le", params=None, vacuous=False) -> BoundReport:
+        """Report on `measured <= rhs` (mode "le"), `>=` ("ge") or `==` ("eq")."""
+        measured, rhs = Fraction(measured), Fraction(rhs)
+        slack = _SLACK[mode](measured, rhs)
+        return cls(name, params or {}, measured, rhs, slack, slack >= 0, vacuous)
+
     def __str__(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         extra = " vacuous" if self.vacuous else ""
@@ -70,156 +68,121 @@ class BoundReport:
         )
 
 
-def wiener_upper(n: int) -> Fraction:
-    """Largest Wiener index of a connected order-n graph (paths attain it)."""
-    if n < 1:
-        raise PreconditionError("order must be >= 1")
-    return Fraction(n + 1, 3) * comb(n, 2)
+@dataclass(frozen=True)
+class Bound:
+    """One row of the bound table.
+
+    `rhs` takes the parameters named in `needs`, in that order; the names are
+    also the `bound` command's flags. A `pairs` bound measures the Wiener
+    index (k = 2) whatever k is asked for; an `average` bound divides both
+    sides by C(n, k). `requires` lists the structural conditions beyond
+    connectivity, each with the reason `applicable` gives when it fails.
+    `min_n` is the smallest order n in the formula's domain.
+    """
+
+    rhs: Callable[..., Fraction]
+    needs: tuple[str, ...]
+    pairs: bool = False
+    average: bool = False
+    requires: tuple[tuple[Callable[[Graph], bool], str], ...] = ()
+    min_n: int = 1
 
 
-def wiener_upper_two_connected(n: int) -> Fraction:
-    """Largest Wiener index of a 2-connected graph (cycles attain it)."""
-    if n < 3:
-        raise PreconditionError("2-connected graphs need n >= 3")
-    return Fraction(n, 2) * (n * n // 4)
+def _min_degree_rhs(n: int, delta: int, k: int) -> Fraction:
+    """Steiner k-Wiener bound for connected graphs of minimum degree delta."""
+    lead = Fraction(k - 1, k + 1) * Fraction(3 * (n + 1), delta + 1)
+    return (lead + Fraction(3 * delta, delta + 1) + 2 * k) * comb(n, k)
 
 
-def sw_upper(n: int, k: int) -> Fraction:
-    """Largest Steiner k-Wiener index of a connected order-n graph."""
-    if n < 1:
-        raise PreconditionError("order must be >= 1")
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k={k} out of range 1..{n}")
-    return Fraction((k - 1) * (n + 1), k + 1) * comb(n, k)
+def _triangle_free_rhs(n: int, delta: int, k: int) -> Fraction:
+    """The same bound for connected triangle-free graphs."""
+    lead = Fraction(k - 1, k + 1) * Fraction(2 * (n + 1), delta)
+    return (lead + Fraction(4 * delta - 2, delta) + 3 * k + 1) * comb(n, k)
 
 
-def wiener_upper_min_degree(n: int, delta: int) -> Fraction:
-    """Wiener bound for connected graphs with minimum degree delta."""
-    if n < 1:
-        raise PreconditionError("order must be >= 1")
-    if delta < 1:
-        raise PreconditionError("minimum degree must be >= 1")
-    return (Fraction(n, delta + 1) + 2) * comb(n, 2)
+_MIN_DEGREE = (lambda g: g.n >= 2 and g.min_degree() >= 1, "needs minimum degree >= 1")
+_TRIANGLE_FREE = (lambda g: not has_triangle(g), "graph contains a triangle")
+_THEOREM4 = Bound(_min_degree_rhs, ("n", "delta", "k"), requires=(_MIN_DEGREE,))
+_THEOREM5 = Bound(_triangle_free_rhs, ("n", "delta", "k"), requires=(_MIN_DEGREE, _TRIANGLE_FREE))
+
+BOUNDS: dict[str, Bound] = {
+    # largest Wiener index of a connected graph; paths attain it
+    "eq1": Bound(lambda n: Fraction(n + 1, 3) * comb(n, 2), ("n",), pairs=True),
+    # largest Wiener index of a 2-connected graph; cycles attain it
+    "eq2": Bound(
+        lambda n: Fraction(n, 2) * (n * n // 4),
+        ("n",),
+        pairs=True,
+        requires=((is_two_connected, "graph is not 2-connected"),),
+        min_n=3,
+    ),
+    # largest Steiner k-Wiener index of a connected graph
+    "theorem1": Bound(lambda n, k: Fraction((k - 1) * (n + 1), k + 1) * comb(n, k), ("n", "k")),
+    # Wiener index via the minimum degree
+    "theorem3": Bound(
+        lambda n, delta: (Fraction(n, delta + 1) + 2) * comb(n, 2),
+        ("n", "delta"),
+        pairs=True,
+        requires=(_MIN_DEGREE,),
+    ),
+    # largest weighted index of a tree with total weight N, minimum weight C
+    "lemma2": Bound(
+        weighted_sw_bound, ("N", "C", "k"), requires=((is_tree, "graph is not a tree"),)
+    ),
+    "theorem4": _THEOREM4,
+    "corollary1": replace(_THEOREM4, average=True),
+    "theorem5": _THEOREM5,
+    "corollary2": replace(_THEOREM5, average=True),
+}
+
+BOUND_IDS = tuple(BOUNDS)
 
 
-def _sw_min_degree_rhs(n: int, delta: int, k: int) -> Fraction:
-    binom = comb(n, k)
-    lead = Fraction(k - 1, k + 1) * Fraction(3 * (n + 1), delta + 1) * binom
-    rest = (Fraction(3 * delta, delta + 1) + 2 * k) * binom
-    return lead + rest
-
-
-def sw_upper_min_degree(n: int, delta: int, k: int) -> Fraction:
-    """Steiner k-Wiener bound for connected graphs with min degree delta."""
-    if n < 1:
-        raise PreconditionError("order must be >= 1")
-    if delta < 1:
-        raise PreconditionError("minimum degree must be >= 1")
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k={k} out of range 1..{n}")
-    return _sw_min_degree_rhs(n, delta, k)
-
-
-def avg_upper_min_degree(n: int, delta: int, k: int) -> Fraction:
-    """Average-Steiner-distance form of the min-degree bound."""
-    if delta < 1:
-        raise PreconditionError("minimum degree must be >= 1")
-    if n < 1 or not 1 <= k <= n:
-        raise PreconditionError("need 1 <= k <= n")
-    return (
-        Fraction(k - 1, k + 1) * Fraction(3 * (n + 1), delta + 1)
-        + Fraction(3 * delta, delta + 1)
-        + 2 * k
-    )
-
-
-def _sw_triangle_free_rhs(n: int, delta: int, k: int) -> Fraction:
-    binom = comb(n, k)
-    lead = Fraction(k - 1, k + 1) * Fraction(2 * (n + 1), delta) * binom
-    rest = (Fraction(4 * delta - 2, delta) + 3 * k + 1) * binom
-    return lead + rest
-
-
-def sw_upper_triangle_free(n: int, delta: int, k: int) -> Fraction:
-    """Steiner k-Wiener bound for connected triangle-free graphs."""
-    if n < 1:
-        raise PreconditionError("order must be >= 1")
-    if delta < 1:
-        raise PreconditionError("minimum degree must be >= 1")
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k={k} out of range 1..{n}")
-    return _sw_triangle_free_rhs(n, delta, k)
-
-
-def avg_upper_triangle_free(n: int, delta: int, k: int) -> Fraction:
-    """Average form of the triangle-free bound."""
-    if delta < 1:
-        raise PreconditionError("minimum degree must be >= 1")
-    if n < 1 or not 1 <= k <= n:
-        raise PreconditionError("need 1 <= k <= n")
-    return (
-        Fraction(k - 1, k + 1) * Fraction(2 * (n + 1), delta)
-        + Fraction(4 * delta - 2, delta)
-        + 3 * k
-        + 1
-    )
+def _row(which: str) -> Bound:
+    if which not in BOUNDS:
+        raise PreconditionError(f"unknown bound '{which}'")
+    return BOUNDS[which]
 
 
 def bound_rhs(which: str, **params) -> Fraction:
-    """Evaluate a bound RHS from explicit parameters (CLI `bound` command).
+    """Evaluate a bound's RHS from explicit parameters (the `bound` command).
 
-    Parameter names: n, delta, k for graph bounds; N (total weight) and C
-    (minimum weight) for the weighted tree bound.
+    Parameters are named as in `BOUNDS[which].needs`: n, delta, k for graph
+    bounds; N (total weight) and C (minimum weight) for the weighted tree
+    bound. A missing or out-of-domain value raises PreconditionError.
     """
-    if which == "eq1":
-        return wiener_upper(_need(params, "n"))
-    if which == "eq2":
-        return wiener_upper_two_connected(_need(params, "n"))
-    if which == "theorem1":
-        return sw_upper(_need(params, "n"), _need(params, "k"))
-    if which == "theorem3":
-        return wiener_upper_min_degree(_need(params, "n"), _need(params, "delta"))
-    if which == "lemma2":
-        return weighted_sw_bound(_need(params, "N"), _need(params, "C"), _need(params, "k"))
-    if which == "theorem4":
-        return sw_upper_min_degree(_need(params, "n"), _need(params, "delta"), _need(params, "k"))
-    if which == "corollary1":
-        return avg_upper_min_degree(_need(params, "n"), _need(params, "delta"), _need(params, "k"))
-    if which == "theorem5":
-        return sw_upper_triangle_free(_need(params, "n"), _need(params, "delta"), _need(params, "k"))
-    if which == "corollary2":
-        return avg_upper_triangle_free(_need(params, "n"), _need(params, "delta"), _need(params, "k"))
-    raise PreconditionError(f"unknown bound '{which}'")
-
-
-def _need(params: dict, key: str) -> int:
-    if params.get(key) is None:
-        raise PreconditionError(f"bound needs parameter --{key}")
-    return params[key]
+    row = _row(which)
+    for name in row.needs:
+        if params.get(name) is None:
+            raise PreconditionError(f"bound needs parameter --{name}")
+    args = {name: params[name] for name in row.needs}
+    low = {"n": row.min_n, "N": 1, "delta": 1, "C": 1, "k": 1}
+    high = {"k": args.get("n", args.get("N"))}
+    for name, value in args.items():
+        if not low[name] <= value <= high.get(name, value):
+            top = f" <= {high[name]}" if name in high else ""
+            raise PreconditionError(
+                f"bound '{which}' needs {low[name]} <= --{name}{top}, got {value}"
+            )
+    value = row.rhs(*args.values())
+    if row.average:
+        value /= comb(args["n"], args["k"])
+    return value
 
 
 def applicable(g: Graph, which: str, k: int) -> tuple[bool, str]:
     """Whether a bound's structural precondition holds for g (with reason)."""
-    if which not in BOUND_IDS:
-        raise PreconditionError(f"unknown bound '{which}'")
-    n = g.n
+    row = _row(which)
     if not is_connected(g):
         return False, "graph is disconnected"
-    if which in ("eq1", "eq2", "theorem3"):
-        if n < 2:
+    if row.pairs:
+        if g.n < 2:
             return False, "needs n >= 2 (Wiener index over pairs)"
-    else:
-        if not 1 <= k <= n:
-            return False, f"k={k} out of range 1..{n}"
-    if which == "eq2" and not is_two_connected(g):
-        return False, "graph is not 2-connected"
-    if which == "lemma2" and not is_tree(g):
-        return False, "graph is not a tree"
-    if which in ("theorem3", "theorem4", "corollary1", "theorem5", "corollary2"):
-        if n < 2 or g.min_degree() < 1:
-            return False, "needs minimum degree >= 1"
-    if which in ("theorem5", "corollary2") and has_triangle(g):
-        return False, "graph contains a triangle"
+    elif not 1 <= k <= g.n:
+        return False, f"k={k} out of range 1..{g.n}"
+    for holds, reason in row.requires:
+        if not holds(g):
+            return False, reason
     return True, ""
 
 
@@ -228,59 +191,16 @@ def check(g: Graph, which: str, k: int = 2) -> BoundReport:
     ok, reason = applicable(g, which, k)
     if not ok:
         raise PreconditionError(f"bound '{which}' not applicable: {reason}")
+    row = BOUNDS[which]
     n = g.n
-    params: dict = {"n": n}
-    if which in ("eq1", "eq2"):
-        eff_k = 2
-        measured = Fraction(steiner_wiener(g, 2))
-        rhs = wiener_upper(n) if which == "eq1" else wiener_upper_two_connected(n)
-    elif which == "theorem3":
-        eff_k = 2
-        delta = g.min_degree()
-        params["delta"] = delta
-        measured = Fraction(steiner_wiener(g, 2))
-        rhs = wiener_upper_min_degree(n, delta)
-    elif which == "theorem1":
-        eff_k = k
-        params["k"] = k
-        measured = Fraction(steiner_wiener(g, k))
-        rhs = sw_upper(n, k)
-    elif which == "lemma2":
-        eff_k = k
-        params.update(k=k, N=n, C=1)
-        measured = Fraction(steiner_wiener(g, k))
-        rhs = weighted_sw_bound(n, 1, k)
-    elif which in ("theorem4", "theorem5"):
-        eff_k = k
-        delta = g.min_degree()
-        params.update(delta=delta, k=k)
-        measured = Fraction(steiner_wiener(g, k))
-        rhs = (
-            sw_upper_min_degree(n, delta, k)
-            if which == "theorem4"
-            else sw_upper_triangle_free(n, delta, k)
-        )
-    else:  # corollary1 / corollary2
-        eff_k = k
-        delta = g.min_degree()
-        params.update(delta=delta, k=k)
-        measured = avg_steiner_distance(g, k)
-        rhs = (
-            avg_upper_min_degree(n, delta, k)
-            if which == "corollary1"
-            else avg_upper_triangle_free(n, delta, k)
-        )
-    if which in ("corollary1", "corollary2"):
-        ceiling = Fraction(n - 1)
-    else:
-        ceiling = Fraction((n - 1) * comb(n, eff_k))
-    slack = rhs - measured
-    return BoundReport(
-        name=which,
-        params=params,
-        measured=measured,
-        rhs=rhs,
-        slack=slack,
-        passed=slack >= 0,
-        vacuous=rhs >= ceiling,
-    )
+    # lemma2 reads g as a unit-weight tree: total weight n, minimum weight 1
+    known = {"n": n, "N": n, "C": 1, "k": k}
+    params = {name: g.min_degree() if name == "delta" else known[name] for name in row.needs}
+    eff_k = 2 if row.pairs else k
+    measured = Fraction(steiner_wiener(g, eff_k))
+    ceiling = Fraction((n - 1) * comb(n, eff_k))
+    if row.average:
+        measured /= comb(n, k)
+        ceiling /= comb(n, k)
+    rhs = bound_rhs(which, **params)
+    return BoundReport.of(which, measured, rhs, "le", params, vacuous=rhs >= ceiling)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .bounds import BoundReport, _sw_min_degree_rhs, _sw_triangle_free_rhs
+from .bounds import BOUNDS, BoundReport
 from .errors import PreconditionError
 from .graph import (
     Graph,
@@ -32,8 +31,7 @@ from .steiner import steiner_wiener_weighted_tree
 from .weights import WeightFn
 
 __all__ = [
-    "PackingCertificate",
-    "MatchingCertificate",
+    "Certificate",
     "packing_spanning_tree",
     "matching_spanning_tree",
     "verify_certificate",
@@ -43,53 +41,49 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PackingCertificate:
-    """Spanning tree built around a distance-3 packing of anchor vertices.
+class Certificate:
+    """Spanning tree built around anchors kept pairwise far apart.
 
-    weights[i] = (anchor, count) pairs; assignment[v] = the anchor v was
-    credited to (a nearest one, reachable within 2 tree edges).
+    A packing certificate's anchors are vertex ids; a matching certificate's
+    anchors are the matching edges (u, v) in discovery order. `kind` follows
+    from that shape alone. weights[i] = (anchor vertex, count) pairs;
+    assignment[v] = the anchor vertex v was credited to.
     """
 
     tree: Graph
-    anchors: tuple[int, ...]
+    anchors: tuple
     connectors: tuple[tuple[int, int], ...]
     weights: tuple[tuple[int, int], ...]
     assignment: tuple[int, ...]
 
-    def weight_map(self) -> dict:
-        return dict(self.weights)
-
-    def path_lengths(self) -> tuple[int, ...]:
-        return _assignment_path_lengths(self.tree, self.assignment)
-
-
-@dataclass(frozen=True)
-class MatchingCertificate:
-    """Spanning tree built around an edge-distance-3 matching.
-
-    anchors holds the matching edges in discovery order; weights and
-    assignment live on the matched vertices.
-    """
-
-    tree: Graph
-    anchors: tuple[tuple[int, int], ...]
-    connectors: tuple[tuple[int, int], ...]
-    weights: tuple[tuple[int, int], ...]
-    assignment: tuple[int, ...]
+    @property
+    def kind(self) -> str:
+        if self.anchors and isinstance(self.anchors[0], tuple):
+            return "matching"
+        return "packing"
 
     def weight_map(self) -> dict:
         return dict(self.weights)
 
-    def matched_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for e in self.anchors for v in e}))
-
-    def path_lengths(self) -> tuple[int, ...]:
-        return _assignment_path_lengths(self.tree, self.assignment)
+    def anchor_vertices(self) -> tuple[int, ...]:
+        return tuple(sorted({v for group in _anchor_groups(self) for v in group}))
 
 
-def _assignment_path_lengths(tree: Graph, assignment) -> tuple[int, ...]:
-    rows = {a: bfs_distances(tree, a) for a in sorted(set(assignment))}
-    return tuple(rows[assignment[v]][v] for v in range(tree.n))
+def _anchor_groups(cert: Certificate) -> list[tuple[int, ...]]:
+    """Anchors as vertex groups: one vertex per packing anchor, two per edge."""
+    if cert.kind == "matching":
+        return list(cert.anchors)
+    return [(a,) for a in cert.anchors]
+
+
+def _certificate(tree, anchors, vertices, connectors, assignment) -> Certificate:
+    """Package a construction, weighing each anchor vertex by the number of
+    vertices credited to it."""
+    tally = dict.fromkeys(vertices, 0)
+    for a in assignment:
+        tally[a] += 1
+    weights = tuple(sorted(tally.items()))
+    return Certificate(tree, tuple(anchors), tuple(connectors), weights, tuple(assignment))
 
 
 def _nearest_assignment(g: Graph, anchors) -> list[int]:
@@ -123,7 +117,7 @@ def _walk_middle_edge(g: Graph, start: int, goal_row, length: int) -> tuple[int,
     return norm_edge(path[mid], path[mid + 1])
 
 
-def packing_spanning_tree(g: Graph, start: int = 0) -> PackingCertificate:
+def packing_spanning_tree(g: Graph, start: int = 0) -> Certificate:
     """Grow stars around a maximal distance-3 packing of anchors.
 
     New anchors are taken at distance exactly 3 from the current packing
@@ -172,19 +166,10 @@ def packing_spanning_tree(g: Graph, start: int = 0) -> PackingCertificate:
     tree = Graph.from_edges(g.n, sorted(tree_edges))
     if not is_tree(tree):
         raise AssertionError("packing construction did not produce a tree")
-    tally: dict = {a: 0 for a in anchors}
-    for a in assignment:
-        tally[a] += 1
-    return PackingCertificate(
-        tree=tree,
-        anchors=tuple(anchors),
-        connectors=tuple(connectors),
-        weights=tuple(sorted(tally.items())),
-        assignment=tuple(assignment),
-    )
+    return _certificate(tree, anchors, anchors, connectors, assignment)
 
 
-def matching_spanning_tree(g: Graph, start_edge=None) -> MatchingCertificate:
+def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
     """Triangle-free counterpart: grow double stars around a matching whose
     edges stay pairwise at edge-distance >= 3.
 
@@ -271,208 +256,125 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> MatchingCertificate:
     # assign along tree distances: the tree realizes every set-distance, so
     # each vertex has a matched vertex within 3 tree hops
     assignment = _nearest_assignment(tree, matched)
-    tally: dict = {v: 0 for v in matched}
-    for a in assignment:
-        tally[a] += 1
-    return MatchingCertificate(
-        tree=tree,
-        anchors=tuple(matching),
-        connectors=tuple(connectors),
-        weights=tuple(sorted(tally.items())),
-        assignment=tuple(assignment),
-    )
+    return _certificate(tree, matching, matched, connectors, assignment)
 
 
-def _report(name, measured, rhs, mode, params=None, vacuous=False) -> BoundReport:
-    measured = Fraction(measured)
-    rhs = Fraction(rhs)
-    if mode == "le":
-        slack = rhs - measured
-    elif mode == "ge":
-        slack = measured - rhs
-    else:  # eq
-        slack = -abs(measured - rhs)
-    return BoundReport(
-        name=name,
-        params=params or {},
-        measured=measured,
-        rhs=rhs,
-        slack=slack,
-        passed=slack >= 0,
-        vacuous=vacuous,
-    )
+def _set_distances(g: Graph, sources) -> list[int]:
+    """Hop distance to the nearest source, with n standing for unreachable."""
+    return [g.n if d is None else d for d in bfs_from_set(g, sources)]
 
 
-def _check_spanning_tree(cert, g: Graph) -> BoundReport:
-    t = cert.tree
-    violations = 0
-    if t.n != g.n:
-        violations += 1
-    violations += sum(1 for u, v in t.edges() if not g.has_edge(u, v))
-    if not is_tree(t):
-        violations += 1
-    return _report("spanning_tree", violations, 0, "eq", {"edges": t.m})
-
-
-def verify_certificate(cert, g: Graph, k: int = 2) -> list[BoundReport]:
+def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundReport]:
     """Re-check every structural claim of a certificate against g, plus the
     index bound on the constructed tree. One report per condition; a report
-    passes iff its slack is >= 0."""
-    if isinstance(cert, PackingCertificate):
-        return _verify_packing(cert, g, k)
-    if isinstance(cert, MatchingCertificate):
-        return _verify_matching(cert, g, k)
-    raise PreconditionError("unknown certificate type")
+    passes iff its slack is >= 0.
 
-
-def _verify_packing(cert: PackingCertificate, g: Graph, k: int) -> list[BoundReport]:
+    The verifier is total: a malformed certificate yields FAIL reports, never
+    an exception (only a k outside 1..n raises). The checks after
+    spanning_tree read distances in g and in the tree, so they run only when
+    the tree is a spanning tree of g; anchor and assignment entries that are
+    not vertices of g count as violations.
+    """
     n = g.n
-    reports = [_check_spanning_tree(cert, g)]
-    anchors = cert.anchors
-    rows = {a: bfs_distances(g, a) for a in anchors}
+    t = cert.tree
+    strays = sum(1 for u, v in t.edges() if not (v < n and g.has_edge(u, v)))
+    violations = int(t.n != n) + strays + int(not is_tree(t))
+    reports = [BoundReport.of("spanning_tree", violations, 0, "eq", {"edges": t.m})]
+    if violations:
+        return reports
+    packing = cert.kind == "packing"
+    reach = 2 if packing else 3
+    groups = _anchor_groups(cert)
+    vertices = cert.anchor_vertices()
+    rows = {v: bfs_distances(g, v) for v in vertices if 0 <= v < n}
+    if not packing:
+        flat = [v for e in groups for v in e]
+        is_matching = len(flat) == len(set(flat)) and all(
+            len(e) == 2 and all(v in rows for v in e) and g.has_edge(*e) for e in groups
+        )
+        reports.append(BoundReport.of("edges_form_matching", int(is_matching), 1, "ge"))
     pair_min = min(
-        (rows[a][b] for a in anchors for b in anchors if a < b),
+        (
+            rows[x][y]
+            for i, a in enumerate(groups)
+            for b in groups[i + 1 :]
+            for x in a
+            for y in b
+            if x in rows and y in rows
+        ),
         default=3,
     )
-    reports.append(
-        _report("packing_pairwise_distance", pair_min, 3, "ge", {"anchors": len(anchors)})
-    )
-    dist_set = bfs_from_set(g, anchors)
-    reports.append(_report("vertex_coverage", max(dist_set), 2, "le"))
-    wmap = cert.weight_map()
-    delta = g.min_degree()
-    reports.append(
-        _report(
-            "anchor_weight",
-            min(wmap.get(a, 0) for a in anchors),
-            delta + 1,
-            "ge",
-            {"delta": delta},
-        )
-    )
-    reports.append(_report("weight_total", sum(wmap.values()), n, "eq"))
-    tally_ok = sorted(wmap.items()) == sorted(
-        (a, sum(1 for x in cert.assignment if x == a)) for a in anchors
-    )
-    bad_assign = sum(
-        1
-        for v in range(n)
-        if cert.assignment[v] not in rows or rows[cert.assignment[v]][v] != dist_set[v]
-    )
-    reports.append(
-        _report("assignment_nearest", bad_assign + (0 if tally_ok else 1), 0, "eq")
-    )
-    tree_rows = {a: bfs_distances(cert.tree, a) for a in set(cert.assignment)}
-    hops = [tree_rows[cert.assignment[v]][v] for v in range(n)]
-    max_hop = max((n if h is None else h for h in hops), default=0)
-    reports.append(_report("anchor_paths_in_tree", max_hop, 2, "le"))
-    cubed, _ = power_graph(cert.tree, 3, anchors)
-    reports.append(_report("anchor_power3_connected", int(is_connected(cubed)), 1, "ge"))
-    sw = steiner_wiener_weighted_tree(cert.tree, WeightFn.uniform(n), k)
-    rhs = _sw_min_degree_rhs(n, delta, k)
-    reports.append(
-        _report(
-            "sw_within_min_degree_bound",
-            sw,
-            rhs,
-            "le",
-            {"n": n, "delta": delta, "k": k},
-            vacuous=rhs >= (n - 1) * comb(n, k),
-        )
-    )
-    return reports
-
-
-def _verify_matching(cert: MatchingCertificate, g: Graph, k: int) -> list[BoundReport]:
-    n = g.n
-    reports = [_check_spanning_tree(cert, g)]
-    edges = cert.anchors
-    matched = cert.matched_vertices()
-    flat = [v for e in edges for v in e]
-    is_matching = len(flat) == len(set(flat)) and all(
-        g.has_edge(u, v) for u, v in edges
-    )
-    reports.append(_report("edges_form_matching", int(is_matching), 1, "ge"))
-    rows = {v: bfs_distances(g, v) for v in matched}
-    pair_min = 3
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            d = min(rows[x][y] for x in edges[i] for y in edges[j])
-            pair_min = min(pair_min, d)
-    reports.append(
-        _report("matching_pairwise_edge_distance", pair_min, 3, "ge", {"edges": len(edges)})
-    )
-    dist_set = bfs_from_set(g, matched)
-    edge_cover = max(
-        (min(dist_set[u], dist_set[v]) for u, v in g.edges()), default=0
-    )
-    reports.append(_report("edge_coverage", edge_cover, 2, "le"))
-    reports.append(_report("vertex_coverage", max(dist_set), 3, "le"))
-    wmap = cert.weight_map()
-    delta = g.min_degree()
-    reports.append(
-        _report(
-            "anchor_weight",
-            min(wmap.get(v, 0) for v in matched),
-            delta,
-            "ge",
-            {"delta": delta},
-        )
-    )
-    pair_weight = min(
-        (wmap.get(u, 0) + wmap.get(v, 0) for u, v in edges), default=2 * delta
-    )
-    reports.append(_report("matched_pair_weight", pair_weight, 2 * delta, "ge"))
-    reports.append(_report("weight_total", sum(wmap.values()), n, "eq"))
-    tally_ok = sorted(wmap.items()) == sorted(
-        (v, sum(1 for x in cert.assignment if x == v)) for v in matched
-    )
-    # assignment is validated against tree distances: each vertex must be
-    # credited to a matched vertex realizing its tree set-distance
-    matched_set = set(matched)
-    tree_set = bfs_from_set(cert.tree, matched)
-    tree_rows = {a: bfs_distances(cert.tree, a) for a in sorted(set(cert.assignment))}
-    bad_assign = sum(
-        1
-        for v in range(n)
-        if cert.assignment[v] not in matched_set
-        or tree_rows[cert.assignment[v]][v] != tree_set[v]
-    )
-    reports.append(
-        _report("assignment_nearest", bad_assign + (0 if tally_ok else 1), 0, "eq")
-    )
-    hops = [tree_rows[cert.assignment[v]][v] for v in range(n)]
-    max_hop = max((n if h is None else h for h in hops), default=0)
-    reports.append(_report("anchor_paths_in_tree", max_hop, 3, "le"))
-    drift = sum(1 for v in range(n) if tree_set[v] != dist_set[v])
-    reports.append(_report("distance_preservation", drift, 0, "eq"))
-    lg, edge_ids = line_graph(cert.tree)
-    index = {e: i for i, e in enumerate(edge_ids)}
-    try:
-        line_vertices = [index[norm_edge(*e)] for e in edges]
-    except KeyError:
-        reports.append(_report("line_power4_connected", 0, 1, "ge"))
+    if packing:
+        name, params = "packing_pairwise_distance", {"anchors": len(groups)}
     else:
-        powered, _ = power_graph(lg, 4, line_vertices)
-        reports.append(
-            _report("line_power4_connected", int(is_connected(powered)), 1, "ge")
-        )
-    sw = steiner_wiener_weighted_tree(cert.tree, WeightFn.uniform(n), k)
-    rhs = _sw_triangle_free_rhs(n, delta, k)
-    reports.append(
-        _report(
-            "sw_within_triangle_free_bound",
-            sw,
-            rhs,
-            "le",
-            {"n": n, "delta": delta, "k": k},
-            vacuous=rhs >= (n - 1) * comb(n, k),
-        )
+        name, params = "matching_pairwise_edge_distance", {"edges": len(groups)}
+    reports.append(BoundReport.of(name, pair_min, 3, "ge", params))
+    dist_set = _set_distances(g, rows)
+    if not packing:
+        edge_cover = max((min(dist_set[u], dist_set[v]) for u, v in g.edges()), default=0)
+        reports.append(BoundReport.of("edge_coverage", edge_cover, 2, "le"))
+    reports.append(BoundReport.of("vertex_coverage", max(dist_set), reach, "le"))
+    wmap = cert.weight_map()
+    delta = g.min_degree()
+    lightest = min((wmap.get(v, 0) for v in vertices), default=0)
+    floor = delta + 1 if packing else delta
+    reports.append(BoundReport.of("anchor_weight", lightest, floor, "ge", {"delta": delta}))
+    if not packing:
+        pair_weight = min((sum(wmap.get(v, 0) for v in e) for e in groups), default=2 * delta)
+        reports.append(BoundReport.of("matched_pair_weight", pair_weight, 2 * delta, "ge"))
+    reports.append(BoundReport.of("weight_total", sum(wmap.values()), n, "eq"))
+    tally_ok = sorted(wmap.items()) == [(v, cert.assignment.count(v)) for v in vertices]
+    anchor_of = [a if a in rows else None for a in cert.assignment[:n]]
+    anchor_of += [None] * (n - len(anchor_of))
+    tree_rows = {v: bfs_distances(t, v) for v in rows}
+    if packing:
+        near, near_set = rows, dist_set
+    else:
+        # matching credits each vertex to a matched vertex realizing its
+        # tree set-distance
+        near, near_set = tree_rows, _set_distances(t, rows)
+    bad_assign = sum(
+        1 for v, a in enumerate(anchor_of) if a is None or near[a][v] != near_set[v]
     )
+    reports.append(
+        BoundReport.of("assignment_nearest", bad_assign + (0 if tally_ok else 1), 0, "eq")
+    )
+    max_hop = max(n if a is None else tree_rows[a][v] for v, a in enumerate(anchor_of))
+    reports.append(BoundReport.of("anchor_paths_in_tree", max_hop, reach, "le"))
+    if packing:
+        cubed, _ = power_graph(t, 3, rows)
+        reports.append(
+            BoundReport.of("anchor_power3_connected", int(is_connected(cubed)), 1, "ge")
+        )
+    else:
+        drift = sum(1 for v in range(n) if near_set[v] != dist_set[v])
+        reports.append(BoundReport.of("distance_preservation", drift, 0, "eq"))
+        lg, edge_ids = line_graph(t)
+        index = {e: i for i, e in enumerate(edge_ids)}
+        line_vertices = [index.get(tuple(sorted(e))) for e in groups]
+        joined = None not in line_vertices and is_connected(power_graph(lg, 4, line_vertices)[0])
+        reports.append(BoundReport.of("line_power4_connected", int(joined), 1, "ge"))
+    # the triangle-free bound divides by delta, which is 0 only on a single
+    # vertex: no edge to match, so edges_form_matching has already failed
+    if packing or delta:
+        sw = steiner_wiener_weighted_tree(t, WeightFn.uniform(n), k)
+        bound = "theorem4" if packing else "theorem5"
+        rhs = BOUNDS[bound].rhs(n, delta, k)
+        name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"
+        reports.append(
+            BoundReport.of(
+                name,
+                sw,
+                rhs,
+                "le",
+                {"n": n, "delta": delta, "k": k},
+                vacuous=rhs >= (n - 1) * comb(n, k),
+            )
+        )
     return reports
 
 
-def certificate_to_json(cert) -> str:
+def certificate_to_json(cert: Certificate) -> str:
     """Five-field schema: tree_edges, anchors, connectors, weights, assignment.
 
     Packing anchors are vertex ids; matching anchors are [u, v] pairs. The
@@ -490,7 +392,7 @@ def certificate_to_json(cert) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def certificate_from_json(text: str):
+def certificate_from_json(text: str) -> Certificate:
     """Inverse of certificate_to_json; the certificate kind is inferred from
     the shape of the anchors field."""
     try:
@@ -508,8 +410,8 @@ def certificate_from_json(text: str):
         raw_anchors = payload["anchors"]
         if raw_anchors and isinstance(raw_anchors[0], list):
             anchors = tuple(tuple(int(x) for x in a) for a in raw_anchors)
-            return MatchingCertificate(tree, anchors, connectors, weights, assignment)
-        anchors = tuple(int(a) for a in raw_anchors)
-        return PackingCertificate(tree, anchors, connectors, weights, assignment)
+        else:
+            anchors = tuple(int(a) for a in raw_anchors)
+        return Certificate(tree, anchors, connectors, weights, assignment)
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed certificate: {exc}") from exc

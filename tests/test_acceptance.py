@@ -12,6 +12,7 @@ from math import comb
 
 from swindex import (
     BranchMove,
+    bound_rhs,
     cycle_graph,
     line_graph,
     matching_spanning_tree,
@@ -26,7 +27,6 @@ from swindex import (
     steiner_wiener_weighted,
     steiner_wiener_weighted_naive,
     steiner_wiener_weighted_tree,
-    sw_upper,
     tightness_sweep,
     verify_certificate,
     weighted_sw_bound,
@@ -86,7 +86,7 @@ def test_03_universal_sandwich():
         for k in (2, 3):
             sw = steiner_wiener(g, k)
             assert (k - 1) * comb(n, k) <= sw, (g.edges(), k)
-            assert Fraction(sw) <= sw_upper(n, k), (g.edges(), k)
+            assert Fraction(sw) <= bound_rhs("theorem1", n=n, k=k), (g.edges(), k)
 
 
 @criterion(4, "relocation gap exactness", 60)

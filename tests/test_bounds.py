@@ -6,43 +6,37 @@ import pytest
 
 from swindex import (
     BOUND_IDS,
+    BOUNDS,
     Graph,
     PreconditionError,
     applicable,
-    avg_upper_min_degree,
-    avg_upper_triangle_free,
     bound_rhs,
     check,
     complete_graph,
     cycle_graph,
     path_graph,
     steiner_wiener,
-    sw_upper,
-    sw_upper_min_degree,
-    sw_upper_triangle_free,
-    wiener_upper,
-    wiener_upper_min_degree,
-    wiener_upper_two_connected,
 )
+from swindex.cli import main
 
 from ensembles import random_connected_bipartite, random_connected_graph
 
 
 def test_evaluator_values():
-    assert wiener_upper(7) == 56
-    assert wiener_upper(4) == 10
-    assert wiener_upper_two_connected(5) == 15
-    assert wiener_upper_two_connected(6) == 27
-    assert sw_upper(10, 3) == 660
-    assert sw_upper(4, 2) == 10
-    assert wiener_upper_min_degree(7, 1) == Fraction(231, 2)
-    assert wiener_upper_min_degree(16, 5) == 560
-    assert sw_upper_min_degree(16, 5, 2) == 1120
-    assert sw_upper_min_degree(7, 1, 2) == Fraction(399, 2)
-    assert sw_upper_triangle_free(9, 2, 2) == 480
-    assert sw_upper_triangle_free(6, 2, 3) == 330
-    assert avg_upper_min_degree(16, 5, 2) == Fraction(1120, comb(16, 2))
-    assert avg_upper_triangle_free(9, 2, 2) == Fraction(480, comb(9, 2))
+    assert bound_rhs("eq1", n=7) == 56
+    assert bound_rhs("eq1", n=4) == 10
+    assert bound_rhs("eq2", n=5) == 15
+    assert bound_rhs("eq2", n=6) == 27
+    assert bound_rhs("theorem1", n=10, k=3) == 660
+    assert bound_rhs("theorem1", n=4, k=2) == 10
+    assert bound_rhs("theorem3", n=7, delta=1) == Fraction(231, 2)
+    assert bound_rhs("theorem3", n=16, delta=5) == 560
+    assert bound_rhs("theorem4", n=16, delta=5, k=2) == 1120
+    assert bound_rhs("theorem4", n=7, delta=1, k=2) == Fraction(399, 2)
+    assert bound_rhs("theorem5", n=9, delta=2, k=2) == 480
+    assert bound_rhs("theorem5", n=6, delta=2, k=3) == 330
+    assert bound_rhs("corollary1", n=16, delta=5, k=2) == Fraction(1120, comb(16, 2))
+    assert bound_rhs("corollary2", n=9, delta=2, k=2) == Fraction(480, comb(9, 2))
 
 
 def test_bound_rhs_dispatch():
@@ -60,6 +54,32 @@ def test_bound_rhs_dispatch():
         bound_rhs("theorem4", n=16, k=2)  # delta missing
     with pytest.raises(PreconditionError):
         bound_rhs("nosuch", n=3)
+
+
+VALID = {"n": 9, "delta": 2, "k": 3, "N": 9, "C": 1}
+# one value per parameter outside its domain: k > n, and k > N for lemma2
+OUT_OF_DOMAIN = {"delta": 0, "k": 10, "N": 2, "C": 0}
+
+
+def _flags(params: dict) -> list[str]:
+    return [tok for name, value in params.items() for tok in (f"--{name}", str(value))]
+
+
+@pytest.mark.parametrize(
+    "which, name", [(which, name) for which in BOUND_IDS for name in BOUNDS[which].needs]
+)
+def test_table_domain_checks(which, name):
+    row = BOUNDS[which]
+    assert bound_rhs(which, **VALID) > 0
+    missing = {key: VALID[key] for key in row.needs if key != name}
+    with pytest.raises(PreconditionError, match=f"--{name}"):
+        bound_rhs(which, **missing)
+    assert main(["bound", "--which", which, *_flags(missing)]) == 2
+    # n = 0 everywhere, n = 2 for the 2-connected bound
+    bad = dict(VALID, **{name: OUT_OF_DOMAIN.get(name, row.min_n - 1)})
+    with pytest.raises(PreconditionError):
+        bound_rhs(which, **bad)
+    assert main(["bound", "--which", which, *_flags(bad)]) == 2
 
 
 def test_applicability():
@@ -126,14 +146,14 @@ def test_all_bounds_hold_on_random_graphs():
 def test_wiener_path_hits_eq1_only_at_paths():
     # equality case of the order-only bound is the path
     for n in range(2, 9):
-        assert Fraction(steiner_wiener(path_graph(n), 2)) == wiener_upper(n)
+        assert Fraction(steiner_wiener(path_graph(n), 2)) == bound_rhs("eq1", n=n)
         if n >= 4:
-            assert Fraction(steiner_wiener(cycle_graph(n), 2)) < wiener_upper(n)
+            assert Fraction(steiner_wiener(cycle_graph(n), 2)) < bound_rhs("eq1", n=n)
 
 
 def test_pair_bound_is_k2_special_case():
     for n in range(2, 30):
-        assert sw_upper(n, 2) == wiener_upper(n)
+        assert bound_rhs("theorem1", n=n, k=2) == bound_rhs("eq1", n=n)
 
 
 def test_triangle_free_bound_on_random_bipartite():

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from swindex import (
-    MatchingCertificate,
-    PackingCertificate,
+    Graph,
     PreconditionError,
     certificate_from_json,
     certificate_to_json,
@@ -135,7 +134,7 @@ def test_certificate_json_round_trip():
     cert = packing_spanning_tree(g)
     blob = certificate_to_json(cert)
     back = certificate_from_json(blob)
-    assert isinstance(back, PackingCertificate)
+    assert back.kind == "packing"
     assert back == cert
     assert certificate_to_json(back) == blob
 
@@ -143,7 +142,7 @@ def test_certificate_json_round_trip():
     cert = matching_spanning_tree(g)
     blob = certificate_to_json(cert)
     back = certificate_from_json(blob)
-    assert isinstance(back, MatchingCertificate)
+    assert back.kind == "matching"
     assert back == cert
     assert certificate_to_json(back) == blob
 
@@ -151,6 +150,60 @@ def test_certificate_json_round_trip():
         certificate_from_json("{not json")
     with pytest.raises(PreconditionError):
         certificate_from_json('{"anchors": [0]}')
+
+
+def _first_vertex(anchor, vertex):
+    return vertex if isinstance(anchor, int) else (anchor[0], vertex)
+
+
+EMPTY_PAYLOAD = '{"anchors":[],"assignment":[],"connectors":[],"tree_edges":[],"weights":[]}'
+
+# each defect maps (valid certificate, host graph) to a malformed pair
+DEFECTS = {
+    "anchor_id_99": lambda c, g: (
+        dataclasses.replace(c, anchors=(_first_vertex(c.anchors[0], 99),) + c.anchors[1:]),
+        g,
+    ),
+    "anchor_id_negative": lambda c, g: (
+        dataclasses.replace(c, anchors=(_first_vertex(c.anchors[0], -1),) + c.anchors[1:]),
+        g,
+    ),
+    "empty_anchors": lambda c, g: (dataclasses.replace(c, anchors=()), g),
+    "tree_missing_edge": lambda c, g: (
+        dataclasses.replace(c, tree=Graph.from_edges(g.n, c.tree.edges()[:-1])),
+        g,
+    ),
+    "assignment_short": lambda c, g: (dataclasses.replace(c, assignment=c.assignment[:-1]), g),
+    "assignment_id_99": lambda c, g: (
+        dataclasses.replace(c, assignment=(99,) + c.assignment[1:]),
+        g,
+    ),
+    "tree_order_low": lambda c, g: (dataclasses.replace(c, tree=path_graph(g.n - 1)), g),
+    "tree_order_high": lambda c, g: (
+        dataclasses.replace(
+            c, tree=Graph.from_edges(g.n + 1, c.tree.edges() + [(g.n - 1, g.n)])
+        ),
+        g,
+    ),
+    "empty_payload_on_empty_graph": lambda c, g: (
+        certificate_from_json(EMPTY_PAYLOAD),
+        Graph.from_edges(0, []),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("method", ["packing", "matching"])
+def test_verifier_is_total(method, defect):
+    if method == "packing":
+        g = cycle_graph(9)
+        cert = packing_spanning_tree(g)
+    else:
+        g = path_graph(8)
+        cert = matching_spanning_tree(g)
+    bad, host = DEFECTS[defect](cert, g)
+    reports = verify_certificate(bad, host, 2)
+    assert reports and not all(r.passed for r in reports), [str(r) for r in reports]
 
 
 def test_packing_random_graphs():
