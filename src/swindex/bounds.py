@@ -26,6 +26,7 @@ __all__ = [
     "BOUND_IDS",
     "bound_rhs",
     "check",
+    "check_all",
     "applicable",
 ]
 
@@ -188,19 +189,37 @@ def applicable(g: Graph, which: str, k: int) -> tuple[bool, str]:
 
 def check(g: Graph, which: str, k: int = 2) -> BoundReport:
     """Measure the bounded quantity on g exactly and compare to the RHS."""
-    ok, reason = applicable(g, which, k)
-    if not ok:
-        raise PreconditionError(f"bound '{which}' not applicable: {reason}")
-    row = BOUNDS[which]
+    _row(which)
+    ((_, report),) = check_all(g, k, (which,))
+    if isinstance(report, str):
+        raise PreconditionError(f"bound '{which}' not applicable: {report}")
+    return report
+
+
+def check_all(g: Graph, k: int, names=BOUND_IDS) -> list[tuple[str, BoundReport | str]]:
+    """`check` each named bound, in BOUND_IDS order: pairs (name, report),
+    or (name, reason) for a bound that does not apply. Each distinct index,
+    SW_2 or SW_k, is measured once for the whole list."""
     n = g.n
-    # lemma2 reads g as a unit-weight tree: total weight n, minimum weight 1
-    known = {"n": n, "N": n, "C": 1, "k": k}
-    params = {name: g.min_degree() if name == "delta" else known[name] for name in row.needs}
-    eff_k = 2 if row.pairs else k
-    measured = Fraction(steiner_wiener(g, eff_k))
-    ceiling = Fraction((n - 1) * comb(n, eff_k))
-    if row.average:
-        measured /= comb(n, k)
-        ceiling /= comb(n, k)
-    rhs = bound_rhs(which, **params)
-    return BoundReport.of(which, measured, rhs, "le", params, vacuous=rhs >= ceiling)
+    measured: dict[int, int] = {}
+    out = []
+    for name in (x for x in BOUND_IDS if x in names):
+        ok, reason = applicable(g, name, k)
+        if not ok:
+            out.append((name, reason))
+            continue
+        row = BOUNDS[name]
+        # lemma2 reads g as a unit-weight tree: total weight n, minimum weight 1
+        known = {"n": n, "N": n, "C": 1, "k": k}
+        params = {p: g.min_degree() if p == "delta" else known[p] for p in row.needs}
+        eff_k = 2 if row.pairs else k
+        if eff_k not in measured:
+            measured[eff_k] = steiner_wiener(g, eff_k)
+        value = Fraction(measured[eff_k])
+        ceiling = Fraction((n - 1) * comb(n, eff_k))
+        if row.average:
+            value /= comb(n, k)
+            ceiling /= comb(n, k)
+        rhs = bound_rhs(name, **params)
+        out.append((name, BoundReport.of(name, value, rhs, "le", params, vacuous=rhs >= ceiling)))
+    return out

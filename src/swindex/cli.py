@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from .bounds import BOUND_IDS, applicable, bound_rhs, check
+from .bounds import BOUND_IDS, bound_rhs, check_all
 from .construct import (
     certificate_to_json,
     matching_spanning_tree,
@@ -160,22 +160,13 @@ def cmd_compute(args) -> int:
         _err(str(exc))
         return 2
     if weights is None:
-        if args.metric == "sw":
-            print(steiner_wiener(g, args.k))
-        else:
-            print(avg_steiner_distance(g, args.k))
+        index = steiner_wiener if args.metric == "sw" else avg_steiner_distance
+        print(index(g, args.k))
         return 0
-    if is_tree(g):
-        sw = steiner_wiener_weighted_tree(g, weights, args.k)
-    else:
-        sw = steiner_wiener_weighted(g, weights, args.k)
-    if args.metric == "sw":
-        print(sw)
-        return 0
-    total = weights.total
-    if total < args.k:
-        raise PreconditionError(f"total weight {total} is below k={args.k}")
-    print(Fraction(sw, comb(total, args.k)))
+    # both raise PreconditionError unless 1 <= k <= weights.total
+    weighted = steiner_wiener_weighted_tree if is_tree(g) else steiner_wiener_weighted
+    sw = weighted(g, weights, args.k)
+    print(sw if args.metric == "sw" else Fraction(sw, comb(weights.total, args.k)))
     return 0
 
 
@@ -199,6 +190,8 @@ def cmd_construct(args) -> int:
     except (OSError, GraphFormatError) as exc:
         _err(str(exc))
         return 2
+    if not 1 <= args.k <= g.n:
+        raise PreconditionError(f"k={args.k} out of range 1..{g.n}")
     if args.method == "packing":
         cert = packing_spanning_tree(g, start=args.start)
         anchors = " ".join(str(a) for a in cert.anchors)
@@ -242,17 +235,13 @@ def cmd_verify(args) -> int:
     except (OSError, GraphFormatError) as exc:
         _err(str(exc))
         return 2
-    which = [args.which] if args.which else list(BOUND_IDS)
     failed = False
-    for name in which:
-        ok, reason = applicable(g, name, args.k)
-        if not ok:
-            print(f"skip {name}: {reason}", file=sys.stderr)
+    for name, rep in check_all(g, args.k, [args.which] if args.which else BOUND_IDS):
+        if isinstance(rep, str):
+            print(f"skip {name}: {rep}", file=sys.stderr)
             continue
-        rep = check(g, name, args.k)
         print(rep)
-        if not rep.passed:
-            failed = True
+        failed |= not rep.passed
     return 4 if failed else 0
 
 

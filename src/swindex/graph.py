@@ -67,6 +67,8 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise PreconditionError(f"vertex {v} out of range")
         return len(self.adj[v])
 
     def min_degree(self) -> int:
@@ -75,6 +77,8 @@ class Graph:
         return min(len(nbrs) for nbrs in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not 0 <= u < self.n > v >= 0:
+            raise PreconditionError(f"edge ({u},{v}) out of range")
         return v in self.adj[u]
 
 
@@ -85,19 +89,7 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 
 def bfs_distances(g: Graph, source: int) -> list:
     """Hop distances from source; unreachable vertices get None."""
-    if not 0 <= source < g.n:
-        raise PreconditionError(f"source {source} out of range")
-    dist: list = [None] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return bfs_from_set(g, (source,))
 
 
 def bfs_from_set(g: Graph, sources) -> list:
@@ -241,6 +233,8 @@ def parse_edge_list(text: str) -> Graph:
     Strict: LF line endings, no comments or blank interior lines, exactly m
     edge lines, ids in range, no loops or duplicates.
     """
+    if not text.isascii():
+        raise GraphFormatError("input must be ASCII")
     if "\r" in text:
         raise GraphFormatError("expected LF line endings")
     lines = text.split("\n")

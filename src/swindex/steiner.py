@@ -11,10 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add, itemgetter
 
 from .errors import PreconditionError
-from .graph import Graph, bfs_distances, is_connected, is_tree
-from .weights import as_weights
+from .graph import Graph, all_pairs_distances, bfs_distances, is_connected, is_tree
+from .weights import WeightFn, as_weights
 
 __all__ = [
     "steiner_distance",
@@ -39,9 +40,20 @@ def _require_tree(g: Graph) -> None:
         raise PreconditionError("graph is not a tree")
 
 
-def _finite_all_pairs(g: Graph) -> list[list[int]]:
-    _require_connected(g)
-    return [bfs_distances(g, u) for u in range(g.n)]
+def _preorder(t: Graph) -> tuple[list[int], list[int]]:
+    """Depth-first preorder of a tree from vertex 0, and each vertex's
+    parent (-1 at the root)."""
+    parent = [-1] * t.n
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in reversed(t.adj[u]):
+            if v != parent[u]:
+                parent[v] = u
+                stack.append(v)
+    return order, parent
 
 
 def _terminal_tuple(g: Graph, terminals) -> tuple[int, ...]:
@@ -53,66 +65,65 @@ def _terminal_tuple(g: Graph, terminals) -> tuple[int, ...]:
     return tuple(ts)
 
 
-def _steiner_from_dist(dist: list[list[int]], terminals: tuple[int, ...]) -> int:
-    """Dynamic program over (terminal-subset, vertex) states.
+def _subset_distances(dist: list[list[int]], terminals: tuple[int, ...], size: int):
+    """Dreyfus–Wagner over every size-subset of the sorted `terminals`.
 
-    States are seeded with the precomputed distance matrix; each composite
-    subset is solved by merging complementary sub-subsets at a vertex and
-    then relaxing once through the metric closure. Runs fresh per call; no
-    state is shared between terminal sets beyond `dist`.
+    Yields (base, roots, values) for each (size-1)-subset `base` in
+    lexicographic order, where roots are the terminals after base[-1] and
+    values[i] = d(base + (roots[i],)). The closed row R(X)[v] = d(X + {v})
+    of each X with |X| <= size-2 is built once, from the rows of its
+    bipartitions, and dropped once no later base can contain X. All tables
+    belong to this call: O(C(|terminals|, size-2)) rows of len(dist) ints.
     """
-    s = len(terminals)
-    if s == 1:
+    rows: dict = {t: dist[t] for t in terminals}
+    # bipartitions of an s-tuple as index getters, the first part holding
+    # index 0; a one-index getter returns the bare vertex, the key of its row
+    halves = {
+        s: [(itemgetter(0, *a), itemgetter(*(i for i in range(1, s) if i not in a)))
+            for r in range(s - 1) for a in combinations(range(1, s), r)]
+        for s in range(2, size)
+    }
+    pos = {t: i for i, t in enumerate(terminals)}
+
+    def merged(x) -> list[int]:
+        # M(X)[v] = min over bipartitions (A, X-A) of R(A)[v] + R(X-A)[v]
+        sums = [map(add, closed(a(x)), closed(b(x))) for a, b in halves[len(x)]]
+        return list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
+
+    def closed(x) -> list[int]:
+        row = rows.get(x)
+        if row is None:
+            # one relaxation through the metric closure: R(X)[v] = min_u M(X)[u] + d(u, v)
+            m = merged(x)
+            row = rows[x] = [min(map(add, m, dv)) for dv in dist]
+        return row
+
+    first = None
+    for base in combinations(terminals[:-1], size - 1):
+        if base[0] != first:
+            # later bases start at base[0] or after, so rows of sets that
+            # start before it are never read again
+            first = base[0]
+            for x in [x for x in rows if type(x) is tuple and x[0] < first]:
+                del rows[x]
+        m = merged(base) if size > 2 else dist[base[0]]
+        roots = terminals[pos[base[-1]] + 1 :]
+        yield base, roots, [min(map(add, m, dist[r])) for r in roots]
+
+
+def _set_distance(dist: list[list[int]], terminals: tuple[int, ...]) -> int:
+    """d(S) of one sorted terminal tuple, through the same engine."""
+    if len(terminals) == 1:
         return 0
-    if s == 2:
-        return dist[terminals[0]][terminals[1]]
-    root = terminals[-1]
-    base = terminals[:-1]
-    m = len(base)
-    n = len(dist)
-    rng = range(n)
-    full = (1 << m) - 1
-    big = n * s  # strictly above any Steiner value
-    table: list = [None] * (full + 1)
-    for i, t in enumerate(base):
-        table[1 << i] = dist[t]
-    for mask in range(3, full + 1):
-        if table[mask] is not None:
-            continue
-        low = mask & -mask
-        merged = [big] * n
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                left, right = table[sub], table[mask ^ sub]
-                for v in rng:
-                    cand = left[v] + right[v]
-                    if cand < merged[v]:
-                        merged[v] = cand
-            sub = (sub - 1) & mask
-        if mask == full:
-            # only the root's value is needed for the outermost subset
-            drow = dist[root]
-            return min(merged[u] + drow[u] for u in rng)
-        closed = merged[:]
-        for u in rng:
-            mu = merged[u]
-            du = dist[u]
-            for v in rng:
-                cand = mu + du[v]
-                if cand < closed[v]:
-                    closed[v] = cand
-        table[mask] = closed
-    raise AssertionError("unreachable")
+    ((_, _, (value,)),) = _subset_distances(dist, terminals, len(terminals))
+    return value
 
 
 def steiner_distance(g: Graph, terminals) -> int:
     """Fewest edges of a connected subgraph containing all terminals."""
     ts = _terminal_tuple(g, terminals)
     _require_connected(g)
-    if len(ts) == 1:
-        return 0
-    return _steiner_from_dist(_finite_all_pairs(g), ts)
+    return _set_distance(all_pairs_distances(g), ts)
 
 
 def steiner_distance_tree(t: Graph, terminals) -> int:
@@ -123,20 +134,9 @@ def steiner_distance_tree(t: Graph, terminals) -> int:
     if len(ts) == 1:
         return 0
     tin = [0] * t.n
-    seen = [False] * t.n
-    stack = [0]
-    clock = 0
-    while stack:
-        u = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        tin[u] = clock
-        clock += 1
-        for v in reversed(t.adj[u]):
-            if not seen[v]:
-                stack.append(v)
-    order = sorted(ts, key=lambda v: tin[v])
+    for clock, v in enumerate(_preorder(t)[0]):
+        tin[v] = clock
+    order = sorted(ts, key=tin.__getitem__)
     rows = {v: bfs_distances(t, v) for v in order}
     total = 0
     for i, v in enumerate(order):
@@ -153,13 +153,21 @@ def _require_k(k: int, upper: int, what: str) -> None:
 
 
 def steiner_wiener(g: Graph, k: int) -> int:
-    """Sum of Steiner distances over all k-subsets of vertices."""
+    """Sum of Steiner distances over all k-subsets of vertices.
+
+    Trees go to the edge-cut formula, k = 2 to half the sum of the BFS rows,
+    and every other case to one shared-table enumeration.
+    """
     _require_connected(g)
     _require_k(k, g.n, "subset size vs vertex count")
     if k == 1:
         return 0
-    dist = _finite_all_pairs(g)
-    return sum(_steiner_from_dist(dist, combo) for combo in combinations(range(g.n), k))
+    if is_tree(g):
+        return steiner_wiener_weighted_tree(g, WeightFn.uniform(g.n), k)
+    dist = all_pairs_distances(g)
+    if k == 2:
+        return sum(map(sum, dist)) // 2
+    return sum(sum(values) for _, _, values in _subset_distances(dist, tuple(range(g.n)), k))
 
 
 def avg_steiner_distance(g: Graph, k: int) -> Fraction:
@@ -188,15 +196,14 @@ def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
     if k == 1:
         return 0
     support = c.support()
-    dist = _finite_all_pairs(g)
+    dist = all_pairs_distances(g)
     total = 0
     for size in range(2, min(k, len(support)) + 1):
-        for combo in combinations(support, size):
-            if c.weight_of(combo) < k:
-                continue
-            mult = _exact_multiplicity(c, combo, k)
-            if mult:
-                total += mult * _steiner_from_dist(dist, combo)
+        for base, roots, values in _subset_distances(dist, support, size):
+            for r, d in zip(roots, values):
+                combo = base + (r,)
+                if c.weight_of(combo) >= k:
+                    total += _exact_multiplicity(c, combo, k) * d
     return total
 
 
@@ -210,7 +217,7 @@ def steiner_wiener_weighted_naive(g: Graph, weights, k: int) -> int:
     _require_connected(g)
     _require_k(k, c.total, "subset size vs total weight")
     copies = [v for v in range(g.n) for _ in range(c[v])]
-    dist = _finite_all_pairs(g)
+    dist = all_pairs_distances(g)
     memo: dict = {}
     total = 0
     for combo in combinations(range(len(copies)), k):
@@ -219,7 +226,7 @@ def steiner_wiener_weighted_naive(g: Graph, weights, k: int) -> int:
             continue
         d = memo.get(originals)
         if d is None:
-            d = _steiner_from_dist(dist, tuple(sorted(originals)))
+            d = _set_distance(dist, tuple(sorted(originals)))
             memo[originals] = d
         total += d
     return total
@@ -231,19 +238,7 @@ def steiner_wiener_weighted_tree(t: Graph, weights, k: int) -> int:
     _require_tree(t)
     c = as_weights(weights, t.n)
     _require_k(k, c.total, "subset size vs total weight")
-    parent = [-1] * t.n
-    order = []
-    seen = [False] * t.n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in t.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
+    order, parent = _preorder(t)
     side = [c[v] for v in range(t.n)]
     for u in reversed(order):
         p = parent[u]

@@ -86,6 +86,8 @@ def as_weights(weights, n: int) -> WeightFn:
 
 def parse_weight_file(text: str, n: int) -> WeightFn:
     """Parse `v w` lines; unlisted vertices weigh 0; duplicates rejected."""
+    if not text.isascii():
+        raise GraphFormatError("weight file must be ASCII")
     if "\r" in text:
         raise GraphFormatError("expected LF line endings")
     pairs = []

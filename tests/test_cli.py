@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from swindex import format_edge_list, parse_edge_list, path_graph, cycle_graph, complete_graph
+from swindex import bounds, format_edge_list, parse_edge_list, path_graph, cycle_graph, complete_graph
 from swindex.cli import main
 
 
@@ -127,6 +127,36 @@ def test_verify_command(capsys, graph_file):
         capsys, "verify", "--graph", graph_file(cycle_graph(5), "c5.txt"), "--which", "eq2"
     )
     assert code == 0 and out.startswith("eq2 PASS")
+
+
+def test_verify_measures_each_index_once(capsys, graph_file, monkeypatch):
+    calls = []
+    measure = bounds.steiner_wiener
+
+    def counting(g, k):
+        calls.append(k)
+        return measure(g, k)
+
+    monkeypatch.setattr(bounds, "steiner_wiener", counting)
+    g = cycle_graph(8)
+    code, out, _ = run(capsys, "verify", "--graph", graph_file(g), "--all", "--k", "4")
+    # eight bounds apply to C8 at k = 4; they read only SW_2 and SW_4
+    assert code == 0 and sorted(calls) == [2, 4]
+    names = [name for name in bounds.BOUND_IDS if bounds.applicable(g, name, 4)[0]]
+    assert len(names) == 8
+    assert out == "".join(f"{bounds.check(g, name, 4)}\n" for name in names)
+
+
+def test_non_ascii_input_is_a_format_error(capsys, graph_file, tmp_path):
+    # int() reads Arabic-Indic digits, so these files would parse as 0 1
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n\u0660 \u0661\n", encoding="utf-8")
+    code, out, err = run(capsys, "compute", "--graph", str(bad))
+    assert code == 2 and out == "" and "ASCII" in err
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0 \u0662\n", encoding="utf-8")
+    code, out, err = run(capsys, "compute", "--graph", graph_file(path_graph(2)), "--weights", str(wfile))
+    assert code == 2 and out == "" and "ASCII" in err
 
 
 def test_sweep_command(capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from swindex import (
     Graph,
     GraphFormatError,
+    PreconditionError,
     all_pairs_distances,
     bfs_distances,
     bfs_from_set,
@@ -43,6 +44,17 @@ def test_graph_basic_invariants():
     assert g.degree(0) == 1 and g.degree(1) == 2
     assert g.min_degree() == 1
     assert g.has_edge(1, 2) and not g.has_edge(0, 2)
+
+
+def test_vertex_ids_out_of_range():
+    # negative ids used to wrap around: -1 read as vertex 8
+    g = cycle_graph(9)
+    for u, v in ((-1, 0), (0, -1), (9, 0), (0, 9)):
+        with pytest.raises(PreconditionError):
+            g.has_edge(u, v)
+    for v in (-1, 9):
+        with pytest.raises(PreconditionError):
+            g.degree(v)
 
 
 def test_graph_rejects_malformed():
@@ -154,6 +166,8 @@ def test_parse_format_round_trip():
         "3 2\n0 1\n0 1\n",  # duplicate
         "3 1\r\n0 1\r\n",  # CRLF
         "3 1\n0 x\n",
+        "3 1\n\u0660 \u0661\n",  # non-ASCII digits
+        "\u0663 1\n0 1\n",
     ],
 )
 def test_parse_rejects(bad):

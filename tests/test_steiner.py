@@ -17,9 +17,11 @@ from swindex import (
     steiner_distance,
     steiner_distance_tree,
     steiner_wiener,
+    steiner_wiener_weighted,
+    steiner_wiener_weighted_naive,
 )
 
-from ensembles import random_connected_graph, random_tree
+from ensembles import random_connected_graph, random_tree, random_weights
 
 
 def steiner_brute(g: Graph, terminals) -> int:
@@ -50,6 +52,71 @@ def _induced_connected(g: Graph, ys) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == len(ys)
+
+
+def steiner_per_subset(dist: list[list[int]], terminals: tuple[int, ...]) -> int:
+    """Reference: a fresh Dreyfus–Wagner program for one terminal set.
+
+    States are (terminal-subset mask, vertex); each composite subset merges
+    complementary sub-subsets at a vertex and then relaxes once through the
+    metric closure. Nothing is shared between terminal sets.
+    """
+    s = len(terminals)
+    if s == 1:
+        return 0
+    if s == 2:
+        return dist[terminals[0]][terminals[1]]
+    root, base = terminals[-1], terminals[:-1]
+    n = len(dist)
+    full = (1 << len(base)) - 1
+    table: list = [None] * (full + 1)
+    for i, t in enumerate(base):
+        table[1 << i] = dist[t]
+    for mask in range(3, full + 1):
+        if table[mask] is not None:
+            continue
+        low = mask & -mask
+        merged = [n * s] * n
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                left, right = table[sub], table[mask ^ sub]
+                for v in range(n):
+                    merged[v] = min(merged[v], left[v] + right[v])
+            sub = (sub - 1) & mask
+        if mask == full:
+            return min(merged[u] + dist[root][u] for u in range(n))
+        table[mask] = [min(merged[u] + dist[u][v] for u in range(n)) for v in range(n)]
+    raise AssertionError("unreachable")
+
+
+def _engine_cases():
+    """Random connected graphs with n <= 10, plus the fixtures that take
+    the tree and k = 2 dispatch."""
+    rng = random.Random(31)
+    graphs = [random_connected_graph(rng.randint(2, 10), rng, extra=rng.choice((0.1, 0.4)))
+              for _ in range(20)]
+    graphs += [random_tree(rng.randint(2, 10), rng) for _ in range(6)]
+    graphs += [cycle_graph(7), cycle_graph(10), path_graph(9), star_graph(8), complete_graph(6)]
+    for g in graphs:
+        for k in range(2, min(g.n, 6) + 1):
+            yield g, k
+
+
+def test_engine_matches_per_subset_reference():
+    rng = random.Random(37)
+    for g, k in _engine_cases():
+        dist = [bfs_distances(g, u) for u in range(g.n)]
+        combos = list(combinations(range(g.n), k))
+        expected = sum(steiner_per_subset(dist, c) for c in combos)
+        assert steiner_wiener(g, k) == expected, (g.edges(), k)
+        # the enumeration itself, bypassing the tree and k = 2 dispatch
+        assert steiner_wiener_weighted(g, 1, k) == expected, (g.edges(), k)
+        for c in combos[:: max(1, len(combos) // 6)]:
+            assert steiner_distance(g, c) == steiner_per_subset(dist, c) == steiner_brute(g, c)
+        w = random_weights(g.n, rng, lo=0, hi=2)
+        if w.total >= k:
+            assert steiner_wiener_weighted(g, w, k) == steiner_wiener_weighted_naive(g, w, k)
 
 
 def test_steiner_distance_examples():

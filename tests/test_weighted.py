@@ -4,6 +4,7 @@ import pytest
 
 from swindex import (
     Graph,
+    GraphFormatError,
     PreconditionError,
     WeightFn,
     as_weights,
@@ -40,6 +41,8 @@ def test_parse_weight_file():
     for bad in ("0 2\n0 1\n", "5 1\n", "0 -1\n", "0\n", "0 x\n"):
         with pytest.raises(Exception):
             parse_weight_file(bad, 3)
+    with pytest.raises(GraphFormatError, match="ASCII"):
+        parse_weight_file("0 \u0662\n", 3)
 
 
 def test_weighted_examples():
