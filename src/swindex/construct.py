@@ -19,13 +19,11 @@ from .errors import PreconditionError
 from .graph import (
     Graph,
     bfs_distances,
-    bfs_from_set,
+    bfs_nearest,
     has_triangle,
     is_connected,
     is_tree,
-    line_graph,
     norm_edge,
-    power_graph,
 )
 from .steiner import steiner_wiener_weighted_tree
 from .weights import WeightFn
@@ -86,20 +84,10 @@ def _certificate(tree, anchors, vertices, connectors, assignment) -> Certificate
     return Certificate(tree, tuple(anchors), tuple(connectors), weights, tuple(assignment))
 
 
-def _nearest_assignment(g: Graph, anchors) -> list[int]:
-    """Per-vertex nearest anchor, ties broken by lowest anchor id."""
-    best_d = [None] * g.n
-    best_a = [None] * g.n
-    for a in sorted(anchors):
-        row = bfs_distances(g, a)
-        for v in range(g.n):
-            d = row[v]
-            if d is None:
-                continue
-            if best_d[v] is None or d < best_d[v]:
-                best_d[v] = d
-                best_a[v] = a
-    return best_a
+def _within_three(g: Graph, source: int) -> list:
+    """Distances from source capped at 4. The values up to 3, the only ones
+    the constructions compare, are exact."""
+    return [4 if d is None else d for d in bfs_nearest(g, (source,), 3)[0]]
 
 
 def _walk_middle_edge(g: Graph, start: int, goal_row, length: int) -> tuple[int, int]:
@@ -133,30 +121,27 @@ def packing_spanning_tree(g: Graph, start: int = 0) -> Certificate:
     tree_edges = {norm_edge(start, x) for x in g.adj[start]}
     in_tree = {start} | set(g.adj[start])
     connectors: list[tuple[int, int]] = []
-    while True:
-        dist_set = bfs_from_set(g, anchors)
-        candidate = next(
-            (v for v in range(g.n) if dist_set[v] == 3), None
-        )
-        if candidate is None:
-            break
+    # distance to the packing, capped at 4 (exact up to 3)
+    dist_set = _within_three(g, start)
+    while 3 in dist_set:
+        candidate = dist_set.index(3)
         star = {candidate} | set(g.adj[candidate])
         if star & in_tree:
             raise AssertionError("new star overlaps the grown forest")
         tree_edges.update(norm_edge(candidate, x) for x in g.adj[candidate])
-        from_cand = bfs_distances(g, candidate)
+        from_cand = _within_three(g, candidate)
         nearest = next(a for a in sorted(anchors) if from_cand[a] == 3)
-        to_nearest = bfs_distances(g, nearest)
+        to_nearest = _within_three(g, nearest)
         connector = _walk_middle_edge(g, candidate, to_nearest, 3)
         tree_edges.add(connector)
         connectors.append(connector)
         anchors.append(candidate)
         in_tree |= star
-    dist_set = bfs_from_set(g, anchors)
+        dist_set = list(map(min, dist_set, from_cand))
     uncovered = [v for v in range(g.n) if dist_set[v] > 2]
     if uncovered:
         raise AssertionError(f"vertices beyond distance 2 of the packing: {uncovered}")
-    assignment = _nearest_assignment(g, anchors)
+    assignment = bfs_nearest(g, anchors)[1]
     for v in range(g.n):
         if v in in_tree:
             continue
@@ -195,8 +180,9 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
         tree_edges.update(norm_edge(end, x) for x in g.adj[end])
     in_tree = set(g.adj[first[0]]) | set(g.adj[first[1]])
     connectors: list[tuple[int, int]] = []
+    # distance to the matched set, capped at 4 (exact up to 3)
+    dist_set = list(map(min, *(_within_three(g, end) for end in first)))
     while True:
-        dist_set = bfs_from_set(g, matched)
         candidate = next(
             (
                 (u, v)
@@ -212,21 +198,21 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
             raise AssertionError("new double star overlaps the grown forest")
         for end in candidate:
             tree_edges.update(norm_edge(end, x) for x in g.adj[end])
-        rows = {z: bfs_distances(g, z) for z in candidate}
+        rows = {z: _within_three(g, z) for z in candidate}
         nearest_pair = min(
             (m, z)
             for z in candidate
             for m in matched
             if rows[z][m] == 3
         )
-        to_nearest = bfs_distances(g, nearest_pair[0])
+        to_nearest = _within_three(g, nearest_pair[0])
         connector = _walk_middle_edge(g, nearest_pair[1], to_nearest, 3)
         tree_edges.add(connector)
         connectors.append(connector)
         matching.append(candidate)
         matched.extend(candidate)
         in_tree |= star
-    dist_set = bfs_from_set(g, matched)
+        dist_set = list(map(min, dist_set, *rows.values()))
     bad_edges = [e for e in all_edges if min(dist_set[e[0]], dist_set[e[1]]) > 2]
     if bad_edges:
         raise AssertionError(f"edges beyond edge-distance 2 of the matching: {bad_edges}")
@@ -250,18 +236,44 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
     tree = Graph.from_edges(g.n, sorted(tree_edges))
     if not is_tree(tree):
         raise AssertionError("matching construction did not produce a tree")
-    tree_dist = bfs_from_set(tree, matched)
-    if tree_dist != dist_set:
-        raise AssertionError("attachment failed to preserve distances to the matching")
     # assign along tree distances: the tree realizes every set-distance, so
     # each vertex has a matched vertex within 3 tree hops
-    assignment = _nearest_assignment(tree, matched)
+    tree_dist, assignment = bfs_nearest(tree, matched)
+    if tree_dist != dist_set:
+        raise AssertionError("attachment failed to preserve distances to the matching")
     return _certificate(tree, matching, matched, connectors, assignment)
 
 
-def _set_distances(g: Graph, sources) -> list[int]:
-    """Hop distance to the nearest source, with n standing for unreachable."""
-    return [g.n if d is None else d for d in bfs_from_set(g, sources)]
+def _labelled_search(h: Graph, sources) -> tuple[list[int], list]:
+    """Distance to the nearest source, with n standing for unreachable, and
+    the lowest id among the nearest sources."""
+    dist, near = bfs_nearest(h, sources)
+    return [h.n if d is None else d for d in dist], near
+
+
+def _cross_edges(h: Graph, dist, near, owner) -> list[tuple[int, int, int]]:
+    """(dist[u] + 1 + dist[v], i, j) for each edge uv of h whose ends lie
+    nearest to different groups i and j; each is the length of a walk from
+    group i to group j. Every edge of a shortest path of length L between two
+    groups has length <= L, and the nearest group changes along the path only
+    across such edges. So the least length is the least distance between two
+    groups, and the edges of length <= L connect any two groups within L."""
+    group = [None if a is None else owner[a] for a in near]
+    return [
+        (dist[u] + 1 + dist[v], group[u], group[v])
+        for u in range(h.n)
+        for v in h.adj[u]
+        if u < v and group[u] != group[v]
+    ]
+
+
+def _credited_distances(h: Graph, anchor_of, dist, near) -> list:
+    """Distance in h from each vertex to the anchor it is credited to: the
+    labelled search's distance where that anchor is the vertex's label, else
+    one full search from the anchor."""
+    others = {a for v, a in enumerate(anchor_of) if a is not None and near[v] != a}
+    rows = {a: bfs_distances(h, a) for a in others}
+    return [dist[v] if a not in rows else rows[a][v] for v, a in enumerate(anchor_of)]
 
 
 def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundReport]:
@@ -273,43 +285,44 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     an exception (only a k outside 1..n raises). The checks after
     spanning_tree read distances in g and in the tree, so they run only when
     the tree is a spanning tree of g; anchor and assignment entries that are
-    not vertices of g count as violations.
+    not vertices of g count as violations, and so does a connector that is
+    not a tree edge.
     """
     n = g.n
     t = cert.tree
-    strays = sum(1 for u, v in t.edges() if not (v < n and g.has_edge(u, v)))
+    tree_edges = set(t.edges())
+    strays = sum(1 for u, v in tree_edges if not (v < n and g.has_edge(u, v)))
     violations = int(t.n != n) + strays + int(not is_tree(t))
-    reports = [BoundReport.of("spanning_tree", violations, 0, "eq", {"edges": t.m})]
+    loose = sum(1 for c in cert.connectors if tuple(sorted(c)) not in tree_edges)
+    reports = [BoundReport.of("spanning_tree", violations + loose, 0, "eq", {"edges": t.m})]
     if violations:
         return reports
     packing = cert.kind == "packing"
     reach = 2 if packing else 3
     groups = _anchor_groups(cert)
     vertices = cert.anchor_vertices()
-    rows = {v: bfs_distances(g, v) for v in vertices if 0 <= v < n}
+    # group of each anchor vertex in g; a vertex in two groups puts them at
+    # distance 0
+    owner: dict[int, int] = {}
+    shared = []
+    for i, group in enumerate(groups):
+        for v in group:
+            if 0 <= v < n and owner.setdefault(v, i) != i:
+                shared.append((owner[v], i))
     if not packing:
         flat = [v for e in groups for v in e]
         is_matching = len(flat) == len(set(flat)) and all(
-            len(e) == 2 and all(v in rows for v in e) and g.has_edge(*e) for e in groups
+            len(e) == 2 and all(v in owner for v in e) and g.has_edge(*e) for e in groups
         )
         reports.append(BoundReport.of("edges_form_matching", int(is_matching), 1, "ge"))
-    pair_min = min(
-        (
-            rows[x][y]
-            for i, a in enumerate(groups)
-            for b in groups[i + 1 :]
-            for x in a
-            for y in b
-            if x in rows and y in rows
-        ),
-        default=3,
-    )
+    dist_set, near = _labelled_search(g, owner)
+    crossings = _cross_edges(g, dist_set, near, owner)
+    pair_min = 0 if shared else min((c[0] for c in crossings), default=3)
     if packing:
         name, params = "packing_pairwise_distance", {"anchors": len(groups)}
     else:
         name, params = "matching_pairwise_edge_distance", {"edges": len(groups)}
     reports.append(BoundReport.of(name, pair_min, 3, "ge", params))
-    dist_set = _set_distances(g, rows)
     if not packing:
         edge_cover = max((min(dist_set[u], dist_set[v]) for u, v in g.edges()), default=0)
         reports.append(BoundReport.of("edge_coverage", edge_cover, 2, "le"))
@@ -324,35 +337,36 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
         reports.append(BoundReport.of("matched_pair_weight", pair_weight, 2 * delta, "ge"))
     reports.append(BoundReport.of("weight_total", sum(wmap.values()), n, "eq"))
     tally_ok = sorted(wmap.items()) == [(v, cert.assignment.count(v)) for v in vertices]
-    anchor_of = [a if a in rows else None for a in cert.assignment[:n]]
+    anchor_of = [a if a in owner else None for a in cert.assignment[:n]]
     anchor_of += [None] * (n - len(anchor_of))
-    tree_rows = {v: bfs_distances(t, v) for v in rows}
+    tree_set, tree_near = _labelled_search(t, owner)
+    tree_hops = _credited_distances(t, anchor_of, tree_set, tree_near)
     if packing:
-        near, near_set = rows, dist_set
+        hops, near_set = _credited_distances(g, anchor_of, dist_set, near), dist_set
     else:
         # matching credits each vertex to a matched vertex realizing its
         # tree set-distance
-        near, near_set = tree_rows, _set_distances(t, rows)
+        hops, near_set = tree_hops, tree_set
     bad_assign = sum(
-        1 for v, a in enumerate(anchor_of) if a is None or near[a][v] != near_set[v]
+        1 for v, a in enumerate(anchor_of) if a is None or hops[v] != near_set[v]
     )
     reports.append(
         BoundReport.of("assignment_nearest", bad_assign + (0 if tally_ok else 1), 0, "eq")
     )
-    max_hop = max(n if a is None else tree_rows[a][v] for v, a in enumerate(anchor_of))
+    max_hop = max(n if a is None else tree_hops[v] for v, a in enumerate(anchor_of))
     reports.append(BoundReport.of("anchor_paths_in_tree", max_hop, reach, "le"))
+    # groups at tree distance <= 3 are adjacent anchors in the cube of the
+    # tree, or matching edges at distance <= 4 in its line graph
+    index = {i: x for x, i in enumerate(set(owner.values()) | {i for _, i in shared})}
+    close = shared + [(i, j) for d, i, j in _cross_edges(t, tree_set, tree_near, owner) if d <= 3]
+    links = {norm_edge(index[i], index[j]) for i, j in close}
+    joined = is_connected(Graph.from_edges(len(index), links))
     if packing:
-        cubed, _ = power_graph(t, 3, rows)
-        reports.append(
-            BoundReport.of("anchor_power3_connected", int(is_connected(cubed)), 1, "ge")
-        )
+        reports.append(BoundReport.of("anchor_power3_connected", int(joined), 1, "ge"))
     else:
-        drift = sum(1 for v in range(n) if near_set[v] != dist_set[v])
+        drift = sum(1 for v in range(n) if tree_set[v] != dist_set[v])
         reports.append(BoundReport.of("distance_preservation", drift, 0, "eq"))
-        lg, edge_ids = line_graph(t)
-        index = {e: i for i, e in enumerate(edge_ids)}
-        line_vertices = [index.get(tuple(sorted(e))) for e in groups]
-        joined = None not in line_vertices and is_connected(power_graph(lg, 4, line_vertices)[0])
+        joined = joined and all(tuple(sorted(e)) in tree_edges for e in groups)
         reports.append(BoundReport.of("line_power4_connected", int(joined), 1, "ge"))
     # the triangle-free bound divides by delta, which is 0 only on a single
     # vertex: no edge to match, so edges_form_matching has already failed

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 
 from .errors import GraphFormatError, PreconditionError
 
+MAX_VERTICES = 1_000_000
+"""Largest vertex count an edge-list header may declare. The parser
+allocates one neighbor list per vertex before it reads an edge, so a
+one-line file must not be able to ask for an unbounded number."""
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -43,6 +48,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph from (u, v) pairs; order inside a pair is free."""
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         lists: list[list[int]] = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:
@@ -56,7 +63,19 @@ class Graph:
             seen.add(key)
             lists[u].append(v)
             lists[v].append(u)
-        return cls(n, tuple(tuple(sorted(l)) for l in lists))
+        return cls._trusted(n, lists)
+
+    @classmethod
+    def _trusted(cls, n: int, lists: list[list[int]]) -> "Graph":
+        """Graph from symmetric, loop-free, duplicate-free neighbor lists.
+
+        Skips the checks of direct construction, which are O(sum deg^2):
+        callers have already validated every edge they put in `lists`.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(tuple(sorted(l)) for l in lists))
+        return g
 
     @property
     def m(self) -> int:
@@ -87,28 +106,47 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def bfs_nearest(g: Graph, sources, limit: int | None = None) -> tuple[list, list]:
+    """Breadth-first search from several sources, at most `limit` hops deep.
+
+    Returns (dist, near): dist[v] is the hop distance from v to its nearest
+    source and near[v] the lowest id among the sources at that distance;
+    both are None where v is not reached. Seeding the search in ascending
+    source order keeps every layer sorted by label, so the first vertex to
+    discover v carries the lowest nearest label.
+    """
+    dist: list = [None] * g.n
+    near: list = [None] * g.n
+    frontier = sorted(set(sources))
+    for s in frontier:
+        if not 0 <= s < g.n:
+            raise PreconditionError(f"source {s} out of range")
+        dist[s] = 0
+        near[s] = s
+    adj = g.adj
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        reached = []
+        for u in frontier:
+            label = near[u]
+            for v in adj[u]:
+                if dist[v] is None:
+                    dist[v] = depth
+                    near[v] = label
+                    reached.append(v)
+        frontier = reached
+    return dist, near
+
+
 def bfs_distances(g: Graph, source: int) -> list:
     """Hop distances from source; unreachable vertices get None."""
-    return bfs_from_set(g, (source,))
+    return bfs_nearest(g, (source,))[0]
 
 
 def bfs_from_set(g: Graph, sources) -> list:
     """Hop distances to the nearest of several sources (None if unreachable)."""
-    dist: list = [None] * g.n
-    queue = deque()
-    for s in sorted(set(sources)):
-        if not 0 <= s < g.n:
-            raise PreconditionError(f"source {s} out of range")
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return bfs_nearest(g, sources)[0]
 
 
 def all_pairs_distances(g: Graph) -> list:
@@ -251,9 +289,11 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError("first line must hold two integers") from exc
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
+    lists: list[list[int]] = [[] for _ in range(n)]
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -263,17 +303,19 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: non-integer vertex id") from exc
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex id out of range")
-        if not u < v:
+        if not 0 <= u < v < n:
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: vertex id out of range")
             raise GraphFormatError(f"line {lineno}: edges must be written u < v")
-        if (u, v) in seen:
+        key = u * n + v
+        if key in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        seen.add(key)
+        lists[u].append(v)
+        lists[v].append(u)
+    return Graph._trusted(n, lists)
 
 
 def format_edge_list(g: Graph) -> str:

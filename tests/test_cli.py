@@ -6,6 +6,7 @@ import pytest
 
 from swindex import bounds, format_edge_list, parse_edge_list, path_graph, cycle_graph, complete_graph
 from swindex.cli import main
+from swindex.graph import MAX_VERTICES
 
 
 @pytest.fixture()
@@ -157,6 +158,15 @@ def test_non_ascii_input_is_a_format_error(capsys, graph_file, tmp_path):
     wfile.write_text("0 \u0662\n", encoding="utf-8")
     code, out, err = run(capsys, "compute", "--graph", graph_file(path_graph(2)), "--weights", str(wfile))
     assert code == 2 and out == "" and "ASCII" in err
+
+
+def test_vertex_cap_is_a_format_error(capsys, tmp_path):
+    # a header-only file must not be able to ask for unbounded allocation
+    big = tmp_path / "big.txt"
+    big.write_text(f"{MAX_VERTICES + 1} 0\n")
+    for argv in (["compute"], ["verify", "--all"], ["construct", "--method", "packing"]):
+        code, out, err = run(capsys, *argv, "--graph", str(big))
+        assert code == 2 and out == "" and f"{MAX_VERTICES}" in err
 
 
 def test_sweep_command(capsys, tmp_path):

@@ -1,22 +1,33 @@
 import dataclasses
 import random
+from math import comb
 
 import pytest
 
 from swindex import (
+    BOUNDS,
+    BoundReport,
     Graph,
     PreconditionError,
+    WeightFn,
+    bfs_distances,
+    bfs_from_set,
     certificate_from_json,
     certificate_to_json,
     complete_graph,
     cycle_graph,
+    is_connected,
+    is_tree,
     line_graph,
     matching_spanning_tree,
+    min_degree_extremal,
     packing_spanning_tree,
     path_graph,
+    power_graph,
     star_graph,
     steiner_distance,
     steiner_distance_tree,
+    steiner_wiener_weighted_tree,
     verify_certificate,
 )
 
@@ -128,6 +139,13 @@ def test_tampered_certificate_fails():
     reports = {r.name: r for r in verify_certificate(bad, g, 2)}
     assert not reports["weight_total"].passed or not reports["assignment_nearest"].passed
 
+    # connectors that are not tree edges: each one is a spanning_tree
+    # violation, and the checks that need the tree still run
+    bad = dataclasses.replace(cert, connectors=((0, 99), (5, 5)))
+    reports = verify_certificate(bad, g, 2)
+    assert str(reports[0]) == "spanning_tree FAIL measured=2 rhs=0 slack=-2"
+    assert all(r.passed for r in reports[1:]) and len(reports) == 9
+
 
 def test_certificate_json_round_trip():
     g = path_graph(7)
@@ -183,6 +201,10 @@ DEFECTS = {
         dataclasses.replace(
             c, tree=Graph.from_edges(g.n + 1, c.tree.edges() + [(g.n - 1, g.n)])
         ),
+        g,
+    ),
+    "connectors_off_tree": lambda c, g: (
+        dataclasses.replace(c, connectors=((0, 99), (5, 5))),
         g,
     ),
     "empty_payload_on_empty_graph": lambda c, g: (
@@ -244,3 +266,206 @@ def test_line_graph_distance_bound():
         d_line = steiner_distance(lg, [index[e] for e in chosen])
         d_tree = steiner_distance_tree(t, vertex_set)
         assert d_tree <= d_line + 1
+
+
+def verify_certificate_per_anchor(cert, g, k=2):
+    """Reference verifier: one full search per anchor vertex, the cube of the
+    tree and the 4th power of its line graph. Reads no connectors; otherwise
+    the reports must equal verify_certificate's."""
+    n = g.n
+    t = cert.tree
+    strays = sum(1 for u, v in t.edges() if not (v < n and g.has_edge(u, v)))
+    violations = int(t.n != n) + strays + int(not is_tree(t))
+    reports = [BoundReport.of("spanning_tree", violations, 0, "eq", {"edges": t.m})]
+    if violations:
+        return reports
+    packing = cert.kind == "packing"
+    reach = 2 if packing else 3
+    groups = [(a,) for a in cert.anchors] if packing else list(cert.anchors)
+    vertices = cert.anchor_vertices()
+    rows = {v: bfs_distances(g, v) for v in vertices if 0 <= v < n}
+    if not packing:
+        flat = [v for e in groups for v in e]
+        is_matching = len(flat) == len(set(flat)) and all(
+            len(e) == 2 and all(v in rows for v in e) and g.has_edge(*e) for e in groups
+        )
+        reports.append(BoundReport.of("edges_form_matching", int(is_matching), 1, "ge"))
+    pair_min = min(
+        (
+            rows[x][y]
+            for i, a in enumerate(groups)
+            for b in groups[i + 1 :]
+            for x in a
+            for y in b
+            if x in rows and y in rows
+        ),
+        default=3,
+    )
+    if packing:
+        name, params = "packing_pairwise_distance", {"anchors": len(groups)}
+    else:
+        name, params = "matching_pairwise_edge_distance", {"edges": len(groups)}
+    reports.append(BoundReport.of(name, pair_min, 3, "ge", params))
+
+    def set_distances(h, sources):
+        return [h.n if d is None else d for d in bfs_from_set(h, sources)]
+
+    dist_set = set_distances(g, rows)
+    if not packing:
+        edge_cover = max((min(dist_set[u], dist_set[v]) for u, v in g.edges()), default=0)
+        reports.append(BoundReport.of("edge_coverage", edge_cover, 2, "le"))
+    reports.append(BoundReport.of("vertex_coverage", max(dist_set), reach, "le"))
+    wmap = cert.weight_map()
+    delta = g.min_degree()
+    lightest = min((wmap.get(v, 0) for v in vertices), default=0)
+    floor = delta + 1 if packing else delta
+    reports.append(BoundReport.of("anchor_weight", lightest, floor, "ge", {"delta": delta}))
+    if not packing:
+        pair_weight = min((sum(wmap.get(v, 0) for v in e) for e in groups), default=2 * delta)
+        reports.append(BoundReport.of("matched_pair_weight", pair_weight, 2 * delta, "ge"))
+    reports.append(BoundReport.of("weight_total", sum(wmap.values()), n, "eq"))
+    tally_ok = sorted(wmap.items()) == [(v, cert.assignment.count(v)) for v in vertices]
+    anchor_of = [a if a in rows else None for a in cert.assignment[:n]]
+    anchor_of += [None] * (n - len(anchor_of))
+    tree_rows = {v: bfs_distances(t, v) for v in rows}
+    if packing:
+        near, near_set = rows, dist_set
+    else:
+        near, near_set = tree_rows, set_distances(t, rows)
+    bad_assign = sum(
+        1 for v, a in enumerate(anchor_of) if a is None or near[a][v] != near_set[v]
+    )
+    reports.append(
+        BoundReport.of("assignment_nearest", bad_assign + (0 if tally_ok else 1), 0, "eq")
+    )
+    max_hop = max(n if a is None else tree_rows[a][v] for v, a in enumerate(anchor_of))
+    reports.append(BoundReport.of("anchor_paths_in_tree", max_hop, reach, "le"))
+    if packing:
+        cubed, _ = power_graph(t, 3, rows)
+        reports.append(
+            BoundReport.of("anchor_power3_connected", int(is_connected(cubed)), 1, "ge")
+        )
+    else:
+        drift = sum(1 for v in range(n) if near_set[v] != dist_set[v])
+        reports.append(BoundReport.of("distance_preservation", drift, 0, "eq"))
+        lg, edge_ids = line_graph(t)
+        index = {e: i for i, e in enumerate(edge_ids)}
+        line_vertices = [index.get(tuple(sorted(e))) for e in groups]
+        joined = None not in line_vertices and is_connected(power_graph(lg, 4, line_vertices)[0])
+        reports.append(BoundReport.of("line_power4_connected", int(joined), 1, "ge"))
+    if packing or delta:
+        sw = steiner_wiener_weighted_tree(t, WeightFn.uniform(n), k)
+        bound = "theorem4" if packing else "theorem5"
+        rhs = BOUNDS[bound].rhs(n, delta, k)
+        name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"
+        reports.append(
+            BoundReport.of(
+                name,
+                sw,
+                rhs,
+                "le",
+                {"n": n, "delta": delta, "k": k},
+                vacuous=rhs >= (n - 1) * comb(n, k),
+            )
+        )
+    return reports
+
+
+def _near_vertex(g, v, rng):
+    """A vertex at distance 1 or 2 from v."""
+    ball = [u for u, d in enumerate(bfs_distances(g, v)) if d in (1, 2)]
+    return rng.choice(ball) if ball else v
+
+
+def _mutate(cert, g, rng):
+    """One random defect of the kinds a hand-edited certificate can carry;
+    connectors are kept as tree edges, which the reference does not read."""
+    n = g.n
+    anchors = list(cert.anchors)
+    assignment = list(cert.assignment)
+    kind = rng.choice(
+        ["assign", "assign_anchor", "duplicate", "add_close", "drop", "drop_reassign",
+         "overlap", "non_edge", "weights", "retree"]
+        if anchors
+        else ["assign", "non_edge", "weights", "retree"]
+    )
+    if kind == "assign":
+        for _ in range(rng.randint(1, 3)):
+            assignment[rng.randrange(n)] = rng.choice([99, -1, n, rng.randrange(n)])
+    elif kind == "assign_anchor":
+        # credit vertices to a real anchor vertex that is not their nearest
+        vertices = cert.anchor_vertices()
+        for _ in range(rng.randint(1, 4)):
+            assignment[rng.randrange(n)] = rng.choice(vertices)
+    elif kind == "duplicate":
+        a = rng.choice(anchors)
+        anchors.insert(rng.randint(0, len(anchors)), a if cert.kind == "packing" else a[::-1])
+    elif kind in ("add_close", "overlap"):
+        v = rng.choice([u for u in cert.anchor_vertices() if 0 <= u < n] or [0])
+        if cert.kind == "packing":
+            anchors.append(_near_vertex(g, v, rng))
+        else:
+            end = v if kind == "overlap" else _near_vertex(g, v, rng)
+            anchors.append(tuple(sorted((end, rng.choice(g.adj[end])))))
+    elif kind in ("drop", "drop_reassign"):
+        dropped = anchors.pop(rng.randrange(len(anchors)))
+        if kind == "drop_reassign" and anchors:
+            lost = {dropped} if cert.kind == "packing" else set(dropped)
+            keep = sorted({v for a in anchors for v in ((a,) if cert.kind == "packing" else a)})
+            assignment = [rng.choice(keep) if a in lost else a for a in assignment]
+    elif kind == "non_edge":
+        if cert.kind == "packing":
+            anchors.append(rng.choice([n, -1, rng.randrange(n)]))
+        else:
+            u = rng.randrange(n)
+            others = [v for v in range(n) if v != u and not g.has_edge(u, v)] or [n]
+            anchors.insert(rng.randint(0, len(anchors)), tuple(sorted((u, rng.choice(others)))))
+    elif kind == "weights":
+        weights = list(cert.weights)
+        i = rng.randrange(len(weights))
+        weights[i] = (weights[i][0], weights[i][1] + rng.choice([-1, 1]))
+        return dataclasses.replace(cert, weights=tuple(weights))
+    else:
+        # another spanning tree of g: the BFS tree from a random root
+        root = rng.randrange(n)
+        dist = bfs_distances(g, root)
+        edges = [
+            (min(v, p), max(v, p))
+            for v in range(n)
+            if v != root
+            for p in [next(u for u in g.adj[v] if dist[u] == dist[v] - 1)]
+        ]
+        tree = Graph.from_edges(n, edges)
+        kept = tuple(c for c in cert.connectors if tree.has_edge(*c))
+        return dataclasses.replace(cert, tree=tree, connectors=kept)
+    return dataclasses.replace(cert, anchors=tuple(anchors), assignment=tuple(assignment))
+
+
+def _differential_cases():
+    rng = random.Random(4)
+    for i in range(60):
+        n = rng.randint(3, 30)
+        g = random_connected_graph(n, rng, extra=rng.choice([0.05, 0.1, 0.3]))
+        yield g, packing_spanning_tree(g, start=rng.randrange(n))
+        h = random_connected_bipartite(rng.randint(3, 20), rng, extra=rng.choice([0.1, 0.3]))
+        if i % 3 == 0:
+            h = subdivide_all(h)
+        yield h, matching_spanning_tree(h, start_edge=rng.choice(h.edges()))
+    g = min_degree_extremal(6, 5)
+    yield g, packing_spanning_tree(g)
+
+
+def test_verifier_matches_per_anchor_reference():
+    rng = random.Random(5)
+    checked = {"packing": 0, "matching": 0}
+    failing = 0
+    for g, cert in _differential_cases():
+        variants = [cert] + [_mutate(cert, g, rng) for _ in range(4)]
+        variants.append(_mutate(variants[-1], g, rng))
+        for variant in variants:
+            k = rng.choice([2, 3])
+            got = [str(r) for r in verify_certificate(variant, g, k)]
+            assert got == [str(r) for r in verify_certificate_per_anchor(variant, g, k)]
+            checked[variant.kind] += 1
+            failing += "FAIL" in " ".join(got)
+    assert min(checked.values()) >= 300 and failing >= 300

@@ -11,6 +11,7 @@ from swindex import (
     all_pairs_distances,
     bfs_distances,
     bfs_from_set,
+    classic,
     complete_graph,
     cycle_graph,
     diameter,
@@ -21,11 +22,15 @@ from swindex import (
     is_tree,
     is_two_connected,
     line_graph,
+    min_degree_extremal,
     parse_edge_list,
     path_graph,
     power_graph,
+    sequential_sum,
     star_graph,
+    triangle_free_extremal,
 )
+from swindex.graph import bfs_nearest
 
 from ensembles import random_connected_graph, random_tree
 
@@ -168,6 +173,7 @@ def test_parse_format_round_trip():
         "3 1\n0 x\n",
         "3 1\n\u0660 \u0661\n",  # non-ASCII digits
         "\u0663 1\n0 1\n",
+        "1000001 0\n",  # above the vertex cap: refused before allocating
     ],
 )
 def test_parse_rejects(bad):
@@ -216,3 +222,50 @@ def test_parse_round_trip_random():
     for _ in range(20):
         g = random_connected_graph(rng.randint(1, 10), rng)
         assert parse_edge_list(format_edge_list(g)).adj == g.adj
+
+
+@given(st.integers(min_value=0, max_value=24), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_trusted_construction_passes_direct_checks(n, pyrng):
+    # parse_edge_list and Graph.from_edges skip Graph's own validation, so
+    # what they build must pass it unchanged
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = pyrng.sample(pairs, pyrng.randint(0, len(pairs)))
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    built = [
+        parse_edge_list(f"{n} {len(edges)}\n{text}"),
+        Graph.from_edges(n, [(v, u) if pyrng.random() < 0.5 else (u, v) for u, v in edges]),
+    ]
+    size = max(n, 3)
+    built += [classic(fam, size, size // 2 + 1) for fam in ("path", "cycle", "star", "complete")]
+    built.append(classic("complete_bipartite", size, pyrng.randint(1, 5)))
+    if n:
+        built.append(sequential_sum([built[1], built[0], built[1]]))
+    built.append(min_degree_extremal(pyrng.randint(1, 6), pyrng.choice([2, 5, 8])))
+    built.append(triangle_free_extremal(pyrng.randint(3, 7), pyrng.choice([2, 4])))
+    for g in built:
+        assert Graph(g.n, g.adj) == g
+
+
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.randoms(use_true_random=False),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+)
+@settings(max_examples=80, deadline=None)
+def test_bfs_nearest_matches_per_source_search(n, pyrng, limit):
+    g = random_connected_graph(n, pyrng, extra=pyrng.choice([0.0, 0.1, 0.4]))
+    if pyrng.random() < 0.3:  # two components
+        g = Graph.from_edges(n + 3, g.edges() + [(n, n + 1), (n + 1, n + 2)])
+    sources = pyrng.sample(range(g.n), pyrng.randint(1, min(g.n, 5)))
+    dist, near = bfs_nearest(g, sources + sources[:1], limit)
+    rows = {s: bfs_distances(g, s) for s in sources}
+    for v in range(g.n):
+        found = sorted((rows[s][v], s) for s in sources if rows[s][v] is not None)
+        if not found or (limit is not None and found[0][0] > limit):
+            assert dist[v] is None and near[v] is None
+        else:
+            assert (dist[v], near[v]) == found[0]
+    assert bfs_from_set(g, sources) == bfs_nearest(g, sources)[0]
+    with pytest.raises(PreconditionError):
+        bfs_nearest(g, [g.n])
