@@ -2,8 +2,9 @@
 
 Exact values (integers, fractions like ``5/3``) go to stdout; notes and
 error messages go to stderr. Exit codes: 0 success, 2 usage or input-format
-problems (including bad family parameters), 3 violated computation
-preconditions, 4 a checked bound or certificate condition that fails.
+problems (including bad family parameters and files that cannot be read or
+written), 3 violated computation preconditions, 4 a checked bound or
+certificate condition that fails.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _family_graph(args) -> Graph:
 
 
 def _load_graph(args) -> Graph:
-    """Input phase: file parsing and family construction. Callers map any
-    error here to exit code 2."""
+    """Input phase: file parsing and family construction. Any error here
+    exits 2."""
     if getattr(args, "graph", None):
         return parse_edge_list(Path(args.graph).read_text())
     return _family_graph(args)
@@ -156,7 +157,7 @@ def cmd_compute(args) -> int:
             if args.uniform_weight < 0:
                 raise GraphFormatError("uniform weight must be non-negative")
             weights = WeightFn.uniform(g.n, args.uniform_weight)
-    except (OSError, PreconditionError, GraphFormatError) as exc:
+    except PreconditionError as exc:
         _err(str(exc))
         return 2
     if weights is None:
@@ -185,11 +186,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        g = parse_edge_list(Path(args.graph).read_text())
-    except (OSError, GraphFormatError) as exc:
-        _err(str(exc))
-        return 2
+    g = parse_edge_list(Path(args.graph).read_text())
     if not 1 <= args.k <= g.n:
         raise PreconditionError(f"k={args.k} out of range 1..{g.n}")
     if args.method == "packing":
@@ -199,12 +196,12 @@ def cmd_construct(args) -> int:
         start_edge = tuple(args.start_edge) if args.start_edge else None
         cert = matching_spanning_tree(g, start_edge=start_edge)
         anchors = " ".join(f"{u}-{v}" for u, v in cert.anchors)
+    if args.out:
+        Path(args.out).write_text(certificate_to_json(cert) + "\n")
     print(f"anchors {anchors}")
     reports = verify_certificate(cert, g, k=args.k)
     for rep in reports:
         print(rep)
-    if args.out:
-        Path(args.out).write_text(certificate_to_json(cert) + "\n")
     if all(rep.passed for rep in reports):
         print("result PASS")
         return 0
@@ -230,11 +227,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = parse_edge_list(Path(args.graph).read_text())
-    except (OSError, GraphFormatError) as exc:
-        _err(str(exc))
-        return 2
+    g = parse_edge_list(Path(args.graph).read_text())
     failed = False
     for name, rep in check_all(g, args.k, [args.which] if args.which else BOUND_IDS):
         if isinstance(rep, str):
@@ -287,7 +280,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except (OSError, GraphFormatError) as exc:
         _err(str(exc))
         return 2
     except PreconditionError as exc:

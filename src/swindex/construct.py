@@ -182,12 +182,17 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
     connectors: list[tuple[int, int]] = []
     # distance to the matched set, capped at 4 (exact up to 3)
     dist_set = list(map(min, *(_within_three(g, end) for end in first)))
+    far = range(g.n)
     while True:
+        # the lowest edge (u, v), u < v, whose nearer end is at distance 3;
+        # dist_set only falls, so a vertex that leaves `far` never returns
+        far = [u for u in far if dist_set[u] >= 3]
         candidate = next(
             (
                 (u, v)
-                for u, v in all_edges
-                if min(dist_set[u], dist_set[v]) == 3
+                for u in far
+                for v in g.adj[u]
+                if v > u and min(dist_set[u], dist_set[v]) == 3
             ),
             None,
         )

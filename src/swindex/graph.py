@@ -63,23 +63,23 @@ class Graph:
             seen.add(key)
             lists[u].append(v)
             lists[v].append(u)
-        return cls._trusted(n, lists)
+        return cls._trusted(n, [tuple(sorted(l)) for l in lists])
 
     @classmethod
-    def _trusted(cls, n: int, lists: list[list[int]]) -> "Graph":
-        """Graph from symmetric, loop-free, duplicate-free neighbor lists.
+    def _trusted(cls, n: int, adj) -> "Graph":
+        """Graph from n sorted, symmetric, loop-free neighbor tuples.
 
         Skips the checks of direct construction, which are O(sum deg^2):
-        callers have already validated every edge they put in `lists`.
+        callers have already validated every edge they put in `adj`.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(tuple(sorted(l)) for l in lists))
+        object.__setattr__(g, "adj", tuple(adj))
         return g
 
     @property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -315,7 +315,7 @@ def parse_edge_list(text: str) -> Graph:
         seen.add(key)
         lists[u].append(v)
         lists[v].append(u)
-    return Graph._trusted(n, lists)
+    return Graph._trusted(n, [tuple(sorted(l)) for l in lists])
 
 
 def format_edge_list(g: Graph) -> str:

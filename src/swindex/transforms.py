@@ -55,36 +55,39 @@ class BranchMove:
     def partition(self) -> tuple[frozenset, frozenset, frozenset]:
         """(U, W, X): the u-side and w-side of the remaining tree around the
         u-w edge, and the vertex set of the moved branches."""
-        t = self.tree
-        u_side = self._component(self.u, banned_at_u=self.branches | {self.w})
-        w_side = self._component(self.w, banned_at_w={self.u})
-        moved = frozenset(range(t.n)) - u_side - w_side
-        return u_side, w_side, moved
+        adj = self.tree.adj
+        w_side = frozenset(_branch(adj, self.u, self.w))
+        moved = frozenset().union(*(_branch(adj, self.u, a) for a in self.branches))
+        return frozenset(range(self.tree.n)) - w_side - moved, w_side, moved
 
-    def _component(self, start: int, banned_at_u=frozenset(), banned_at_w=frozenset()):
-        t = self.tree
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in t.adj[x]:
-                if x == self.u and y in banned_at_u:
-                    continue
-                if x == self.w and y in banned_at_w:
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
+
+def _branch(adj, root: int, nb: int) -> set[int]:
+    """Vertices of the branch hanging at root through its neighbor nb: nb
+    and everything reachable from it without passing through root."""
+    seen = {root, nb}
+    stack = [nb]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    seen.remove(root)
+    return seen
 
 
 def relocate_branches(move: BranchMove) -> Graph:
-    """Apply the move; the result is checked to still be a tree."""
-    t = move.tree
-    removed = {(min(move.u, a), max(move.u, a)) for a in move.branches}
-    edges = [e for e in t.edges() if e not in removed]
-    edges.extend((min(move.w, a), max(move.w, a)) for a in sorted(move.branches))
-    out = Graph.from_edges(t.n, edges)
+    """Apply the move; the result is checked to still be a tree.
+
+    Only the neighbor tuples of u, w and the moved branch roots change;
+    every other tuple of the old tree is reused.
+    """
+    u, w, roots = move.u, move.w, move.branches
+    adj = list(move.tree.adj)
+    adj[u] = tuple(x for x in adj[u] if x not in roots)
+    adj[w] = tuple(sorted(adj[w] + tuple(roots)))
+    for a in roots:
+        adj[a] = tuple(sorted(w if x == u else x for x in adj[a]))
+    out = Graph._trusted(move.tree.n, adj)
     if not is_tree(out):
         raise AssertionError("branch relocation broke the tree")
     return out
@@ -96,8 +99,8 @@ def relocation_sw_delta(move: BranchMove, weights, k: int) -> int:
     Counting k-subsets of copies that meet the moved branches and exactly
     one side of the u-w edge gives
         sum_i C(c(X), k-i) * (C(c(U), i) - C(c(W), i)),  i = 1..k-1,
-    positive whenever the u-side outweighs the w-side and enough total
-    weight is present for k-subsets to exist.
+    which is >= 0 whenever the u-side is at least as heavy as the w-side.
+    It can be 0 on such a move: K1,3 with unit weights at k = 4.
     """
     c = as_weights(weights, move.tree.n)
     if k < 1:
@@ -116,9 +119,13 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
 
     At the smallest-id vertex of degree >= 3, branches are ordered by weight
     (descending, ties by smallest contained vertex id); all but the two
-    lightest move to the neighbor inside the lightest branch. Each move
-    keeps the heavier side at the pivot, so the weighted index never drops
-    along the trace. Returns the final path and the move trace.
+    lightest move to the neighbor inside the lightest branch. The kept side,
+    the pivot plus the second-lightest branch, then outweighs the target
+    branch, so the weighted index never drops along the trace for any k.
+    That is checked before every move, and it makes the loop end: at k = 2
+    a move raises the index by c(X) * (c(U) - c(W)) >= 1, and
+    weighted_sw_bound(N, C, 2) caps that index. Returns the final path and
+    the move trace.
     """
     if not is_tree(tree):
         raise PreconditionError("input is not a tree")
@@ -131,30 +138,20 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     t = tree
     trace: list[BranchMove] = []
     while True:
-        pivot = next((v for v in range(t.n) if t.degree(v) >= 3), None)
+        pivot = next((v for v in range(t.n) if len(t.adj[v]) >= 3), None)
         if pivot is None:
-            break
+            return t, trace
         comps = []
         for nb in t.adj[pivot]:
-            seen = {pivot, nb}
-            stack = [nb]
-            while stack:
-                x = stack.pop()
-                for y in t.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comp = seen - {pivot}
-            comps.append((-c.weight_of(comp), min(comp), nb))
+            branch = _branch(t.adj, pivot, nb)
+            comps.append((-c.weight_of(branch), min(branch), nb))
         comps.sort()
-        moved = frozenset(nb for _, _, nb in comps[:-2])
-        target = comps[-1][2]
-        move = BranchMove(t, pivot, target, moved)
+        second, lightest = -comps[-2][0], -comps[-1][0]
+        if c[pivot] + second <= lightest:
+            raise AssertionError("straightening move would not keep the heavier side")
+        move = BranchMove(t, pivot, comps[-1][2], frozenset(nb for _, _, nb in comps[:-2]))
         t = relocate_branches(move)
         trace.append(move)
-        if len(trace) > tree.n:
-            raise AssertionError("straightening exceeded its move budget")
-    return t, trace
 
 
 def weighted_sw_bound(total_weight: int, min_weight: int, k: int) -> Fraction:

@@ -169,6 +169,22 @@ def test_vertex_cap_is_a_format_error(capsys, tmp_path):
         assert code == 2 and out == "" and f"{MAX_VERTICES}" in err
 
 
+def test_file_errors_exit_2(capsys, graph_file, tmp_path):
+    # an --out that cannot be written fails before anything reaches stdout
+    nowhere = str(tmp_path / "missing" / "out")
+    for argv in (
+        ["construct", "--graph", graph_file(cycle_graph(9)), "--method", "packing"],
+        ["generate", "--family", "path", "--size", "5"],
+        ["sweep", "--family", "G", "--delta", "2", "--d-min", "2", "--d-max", "3"],
+    ):
+        code, out, err = run(capsys, *argv, "--out", nowhere)
+        assert (code, out) == (2, "") and err.startswith("error:") and "missing" in err
+    # an unreadable input file is the same input error for every command
+    for argv in (["compute"], ["verify", "--all"], ["construct", "--method", "packing"]):
+        code, out, err = run(capsys, *argv, "--graph", nowhere)
+        assert (code, out) == (2, "") and "missing" in err
+
+
 def test_sweep_command(capsys, tmp_path):
     code, out, err = run(
         capsys, "sweep", "--family", "G", "--delta", "2", "--d-min", "2", "--d-max", "8"

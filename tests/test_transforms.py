@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,11 @@ from swindex import (
 )
 
 from ensembles import random_tree, random_weights
+
+# Straightenings recorded with the earlier, move-budget implementation of
+# straighten_to_path, on seeded trees it finished: the input tree, weights
+# and k, the moves_to_json trace and the final path's edges.
+TRACES = json.loads(Path(__file__).with_name("straighten_traces.json").read_text())
 
 
 def caterpillar_with_bundles() -> Graph:
@@ -77,6 +83,53 @@ def test_partition_examples():
     )
 
 
+def partition_reference(move: BranchMove):
+    """The earlier partition: walk from u with its moved branches and w
+    banned, walk from w with u banned; the moved set is what is left."""
+
+    def component(start, banned_at_u=frozenset(), banned_at_w=frozenset()):
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in move.tree.adj[x]:
+                if x == move.u and y in banned_at_u:
+                    continue
+                if x == move.w and y in banned_at_w:
+                    continue
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return frozenset(seen)
+
+    u_side = component(move.u, banned_at_u=move.branches | {move.w})
+    w_side = component(move.w, banned_at_w={move.u})
+    return u_side, w_side, frozenset(range(move.tree.n)) - u_side - w_side
+
+
+def random_move(t: Graph, rng: random.Random):
+    """A uniformly drawn valid move of t, or None when no vertex has degree 2."""
+    pivots = [v for v in range(t.n) if t.degree(v) >= 2]
+    if not pivots:
+        return None
+    u = rng.choice(pivots)
+    w = rng.choice(t.adj[u])
+    rest = [a for a in t.adj[u] if a != w]
+    return BranchMove(t, u, w, frozenset(rng.sample(rest, rng.randint(1, len(rest)))))
+
+
+def test_partition_matches_banned_set_reference():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 150:
+        t = random_tree(rng.randint(2, 40), rng)
+        mv = random_move(t, rng)
+        if mv is None:
+            continue
+        assert mv.partition() == partition_reference(mv)
+        checked += 1
+
+
 def test_relocate_branches():
     t = caterpillar_with_bundles()
     mv = BranchMove(t, 2, 3, frozenset({7, 8}))
@@ -84,6 +137,21 @@ def test_relocate_branches():
     assert moved.has_edge(3, 7) and moved.has_edge(3, 8)
     assert not moved.has_edge(2, 7) and not moved.has_edge(2, 8)
     assert moved.m == t.m
+
+
+def test_relocate_matches_edge_rebuild():
+    # the relocated tree equals the one rebuilt from its edge list, and
+    # passes the checks of direct construction
+    rng = random.Random(71)
+    for _ in range(120):
+        t = random_tree(rng.randint(2, 30), rng)
+        mv = random_move(t, rng)
+        if mv is None:
+            continue
+        out = relocate_branches(mv)
+        edges = [e for e in t.edges() if not (mv.u in e and set(e) & mv.branches)]
+        edges += [(mv.w, a) for a in mv.branches]
+        assert out == Graph.from_edges(t.n, edges) == Graph(out.n, out.adj)
 
 
 def test_gap_examples():
@@ -157,6 +225,57 @@ def test_straighten_random_trees():
             assert nxt >= sw
             sw = nxt
         assert current.adj == out.adj
+
+
+def test_straighten_traces_match_recording():
+    for case in TRACES:
+        tree = Graph.from_edges(case["n"], case["edges"])
+        out, trace = straighten_to_path(tree, case["weights"], case["k"])
+        assert moves_to_json(trace) == case["moves"]
+        assert out.edges() == [tuple(e) for e in case["path"]]
+
+
+def test_straighten_terminates_by_pair_index():
+    # each move raises the k = 2 weighted index by at least 1, so the
+    # straightening ends; every move's k-index delta is >= 0 and they add up
+    rng = random.Random(73)
+    for n in [300, 2, 3, 4] + [rng.randint(5, 300) for _ in range(8)]:
+        t = random_tree(n, rng)
+        weights = random_weights(n, rng, lo=1, hi=3)
+        k = rng.randint(2, min(weights.total, 6))
+        out, trace = straighten_to_path(t, weights, k)
+        assert all(out.degree(v) <= 2 for v in range(n))
+        pair_index = steiner_wiener_weighted_tree(t, weights, 2)
+        deltas = []
+        for mv in trace:
+            nxt = relocate_branches(mv)
+            after = steiner_wiener_weighted_tree(nxt, weights, 2)
+            assert after >= pair_index + 1
+            pair_index = after
+            deltas.append(relocation_sw_delta(mv, weights, k))
+        assert all(d >= 0 for d in deltas)
+        assert sum(deltas) == steiner_wiener_weighted_tree(
+            out, weights, k
+        ) - steiner_wiener_weighted_tree(t, weights, k)
+        assert pair_index <= weighted_sw_bound(weights.total, weights.min_weight(), 2)
+
+
+def test_straighten_needs_more_moves_than_vertices():
+    t = random_tree(32, random.Random(16))
+    out, trace = straighten_to_path(t, 1, 2)
+    assert len(trace) == 33
+    assert all(out.degree(v) <= 2 for v in range(32))
+    assert steiner_wiener_weighted_tree(out, 1, 2) == steiner_wiener(path_graph(32), 2)
+
+
+def test_valid_move_with_zero_delta():
+    # K1,3 with unit weights: the one move keeps {0, 2}, targets {3} and
+    # moves {1}; it raises the k = 2 index by 1 but leaves k = 4 unchanged
+    out, trace = straighten_to_path(star_graph(3), 1, 4)
+    [mv] = trace
+    assert (mv.u, mv.w, mv.branches) == (0, 3, frozenset({1}))
+    assert relocation_sw_delta(mv, 1, 4) == 0
+    assert relocation_sw_delta(mv, 1, 2) == 1
 
 
 def test_straighten_reaches_path_extreme():
