@@ -23,24 +23,10 @@ from .construct import (
     verify_certificate,
 )
 from .errors import GraphFormatError, PreconditionError
-from .families import (
-    classic,
-    min_degree_extremal,
-    sweep_csv,
-    tightness_sweep,
-    triangle_free_extremal,
-)
-from .graph import Graph, format_edge_list, is_tree, parse_edge_list
-from .steiner import (
-    avg_steiner_distance,
-    steiner_wiener,
-    steiner_wiener_weighted,
-    steiner_wiener_weighted_tree,
-)
+from .families import CLASSIC, LAYERED, check_sweep, classic, sweep_csv, tightness_sweep
+from .graph import Graph, format_edge_list, parse_edge_list
+from .steiner import avg_steiner_distance, steiner_wiener, steiner_wiener_weighted
 from .weights import WeightFn, parse_weight_file
-
-CLASSIC_FAMILIES = ("path", "cycle", "star", "complete", "complete_bipartite")
-LAYERED_FAMILIES = ("G", "H")
 
 
 def _err(msg: str) -> None:
@@ -48,15 +34,9 @@ def _err(msg: str) -> None:
 
 
 def _family_graph(args) -> Graph:
-    fam = args.family
-    if fam in LAYERED_FAMILIES:
-        if args.d is None or args.delta is None:
-            raise PreconditionError(f"family {fam} needs --d and --delta")
-        build = min_degree_extremal if fam == "G" else triangle_free_extremal
-        return build(args.d, args.delta)
-    if args.size is None:
-        raise PreconditionError(f"family {fam} needs --size")
-    return classic(fam, args.size, args.size2)
+    if args.family in LAYERED:
+        return LAYERED[args.family].build(args.d, args.delta)
+    return classic(args.family, args.size, args.size2)
 
 
 def _load_graph(args) -> Graph:
@@ -72,7 +52,7 @@ def _add_graph_source(sub, require: bool = True) -> None:
     group.add_argument("--graph", metavar="FILE", help="edge-list file ('n m' header)")
     group.add_argument(
         "--family",
-        choices=CLASSIC_FAMILIES + LAYERED_FAMILIES,
+        choices=(*CLASSIC, *LAYERED),
         help="generate the graph instead of reading a file",
     )
     sub.add_argument("--size", type=int, help="size for classic families")
@@ -136,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sweep", help="index-to-bound ratios across diameters")
-    p.add_argument("--family", required=True, choices=LAYERED_FAMILIES)
+    p.add_argument("--family", required=True, choices=tuple(LAYERED))
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d-min", type=int, required=True)
@@ -164,9 +144,8 @@ def cmd_compute(args) -> int:
         index = steiner_wiener if args.metric == "sw" else avg_steiner_distance
         print(index(g, args.k))
         return 0
-    # both raise PreconditionError unless 1 <= k <= weights.total
-    weighted = steiner_wiener_weighted_tree if is_tree(g) else steiner_wiener_weighted
-    sw = weighted(g, weights, args.k)
+    # raises PreconditionError unless 1 <= k <= weights.total
+    sw = steiner_wiener_weighted(g, weights, args.k)
     print(sw if args.metric == "sw" else Fraction(sw, comb(weights.total, args.k)))
     return 0
 
@@ -239,25 +218,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.family == "G":
-        if args.delta < 2 or (args.delta + 1) % 3 != 0:
-            _err("family G needs delta >= 2 with delta + 1 divisible by 3")
-            return 2
-        d_floor = 1
-    else:
-        if args.delta < 2 or args.delta % 2 != 0:
-            _err("family H needs an even delta >= 2")
-            return 2
-        d_floor = 3
-    if args.d_min < d_floor or args.d_max < args.d_min:
-        _err(f"need {d_floor} <= d-min <= d-max")
+    d_values = range(args.d_min, args.d_max + 1)
+    try:
+        check_sweep(args.family, args.delta, args.k, d_values)
+    except PreconditionError as exc:
+        _err(str(exc))
         return 2
-    if args.k < 2:
-        _err("sweep needs k >= 2")
-        return 2
-    rows = tightness_sweep(
-        args.family, args.delta, args.k, range(args.d_min, args.d_max + 1)
-    )
+    # what remains to refuse (k > n, the subset cap) exits 3
+    rows = tightness_sweep(args.family, args.delta, args.k, d_values)
     text = sweep_csv(rows)
     if args.out:
         Path(args.out).write_text(text)

@@ -413,10 +413,11 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def certificate_from_json(text: str) -> Certificate:
     """Inverse of certificate_to_json; the certificate kind is inferred from
-    the shape of the anchors field."""
+    the shape of the anchors field. Anything else, too deeply nested or
+    non-finite numbers included, raises PreconditionError."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PreconditionError(f"bad certificate JSON: {exc}") from exc
     try:
         assignment = tuple(int(v) for v in payload["assignment"])
@@ -432,5 +433,5 @@ def certificate_from_json(text: str) -> Certificate:
         else:
             anchors = tuple(int(a) for a in raw_anchors)
         return Certificate(tree, anchors, connectors, weights, assignment)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed certificate: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from .errors import PreconditionError
 from .graph import Graph, diameter, has_triangle
@@ -24,10 +25,13 @@ __all__ = [
     "complete_graph",
     "complete_bipartite",
     "classic",
+    "CLASSIC",
+    "LAYERED",
     "sequential_sum",
     "min_degree_extremal",
     "triangle_free_extremal",
     "SweepRow",
+    "check_sweep",
     "tightness_sweep",
     "sweep_csv",
 ]
@@ -72,20 +76,15 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def classic(family: str, size: int, size2=None) -> Graph:
-    """Dispatch table used by the command line."""
-    if family == "path":
-        return path_graph(size)
-    if family == "cycle":
-        return cycle_graph(size)
-    if family == "star":
-        return star_graph(size)
-    if family == "complete":
-        return complete_graph(size)
-    if family == "complete_bipartite":
-        if size2 is None:
-            raise PreconditionError("complete_bipartite needs two sizes")
-        return complete_bipartite(size, size2)
-    raise PreconditionError(f"unknown family {family!r}")
+    """Build a classic family by name from its one or two sizes; a second
+    size is ignored by families that take one."""
+    if family not in CLASSIC:
+        raise PreconditionError(f"unknown family {family!r}")
+    build, arity = CLASSIC[family]
+    sizes = (size, size2)[:arity]
+    if None in sizes:
+        raise PreconditionError(f"family {family} needs --size" + " and --size2" * (arity - 1))
+    return build(*sizes)
 
 
 def sequential_sum(parts) -> Graph:
@@ -123,19 +122,10 @@ def min_degree_extremal(d: int, delta: int) -> Graph:
     interior cliques (d >= 4, or any d >= 2 when delta = 2); smaller
     diameters degenerate toward complete graphs.
     """
-    if d < 1:
-        raise PreconditionError("diameter must be at least 1")
-    if delta < 2:
-        raise PreconditionError("minimum degree must be at least 2")
-    if (delta + 1) % 3 != 0:
-        raise PreconditionError("delta + 1 must be divisible by 3")
+    LAYERED["G"].check(d, delta)
     s = (delta + 1) // 3
-    parts = (
-        [complete_graph(delta)]
-        + [complete_graph(s) for _ in range(d - 1)]
-        + [complete_graph(delta)]
-    )
-    g = sequential_sum(parts)
+    end = [complete_graph(delta)]
+    g = sequential_sum(end + [complete_graph(s)] * (d - 1) + end)
     assert g.n == (d + 5) * (delta + 1) // 3 - 2
     assert diameter(g) == d
     if d == 1:
@@ -150,24 +140,62 @@ def min_degree_extremal(d: int, delta: int) -> Graph:
 
 def triangle_free_extremal(d: int, delta: int) -> Graph:
     """Layered graph of diameter d and minimum degree delta tracking the
-    triangle-free upper bound; genuinely triangle-free when delta = 2 or
-    when there are no interior layers (d = 3).
+    triangle-free upper bound.
 
-    Layout: two independent sets of size delta at each end, d-3 cliques of
-    size delta/2 between them; delta must be even.
+    Layout: two independent sets of size delta at each end, d-3 independent
+    sets of size delta/2 between them; delta must be even. Consecutive layers
+    are completely joined and every layer is independent, so the graph is
+    bipartite (layers of even and odd position) and has no triangle.
     """
-    if d < 3:
-        raise PreconditionError("diameter must be at least 3")
-    if delta < 2 or delta % 2 != 0:
-        raise PreconditionError("delta must be even and at least 2")
-    side = [empty_graph(delta), empty_graph(delta)]
-    middle = [complete_graph(delta // 2) for _ in range(d - 3)]
-    g = sequential_sum(side + middle + list(reversed(side)))
+    LAYERED["H"].check(d, delta)
+    side = [empty_graph(delta)] * 2
+    g = sequential_sum(side + [empty_graph(delta // 2)] * (d - 3) + side)
     assert g.n == 4 * delta + (d - 3) * delta // 2
     assert diameter(g) == d
     assert g.min_degree() == delta
-    assert has_triangle(g) == (delta > 2 and d > 3)
+    assert not has_triangle(g)
     return g
+
+
+@dataclass(frozen=True)
+class Layered:
+    """One layered family: its builder, the smallest diameter it builds, its
+    rule on delta with the text that states it, and the growth term per
+    k-subset of the bound its sweep is measured against."""
+
+    name: str
+    build: Callable[[int, int], Graph]
+    d_floor: int
+    delta_ok: Callable[[int], bool]
+    delta_rule: str
+    per_set: Callable[[int, int], Fraction]
+
+    def check(self, d: int, delta: int) -> None:
+        if d is None or delta is None:
+            raise PreconditionError(f"family {self.name} needs --d and --delta")
+        if not self.delta_ok(delta):
+            raise PreconditionError(f"family {self.name} needs {self.delta_rule}")
+        if d < self.d_floor:
+            raise PreconditionError(f"family {self.name} needs d >= {self.d_floor}")
+
+
+CLASSIC = {
+    "path": (path_graph, 1),
+    "cycle": (cycle_graph, 1),
+    "star": (star_graph, 1),
+    "complete": (complete_graph, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+}
+
+# G tracks the minimum-degree bound, 3n/(delta+1) per set; H tracks the
+# triangle-free bound, 2n/delta per set
+LAYERED = {fam.name: fam for fam in (
+    Layered("G", min_degree_extremal, 1, lambda delta: delta >= 2 and delta % 3 == 2,
+            "delta >= 2 with delta + 1 divisible by 3",
+            lambda n, delta: Fraction(3 * n, delta + 1)),
+    Layered("H", triangle_free_extremal, 3, lambda delta: delta >= 2 and delta % 2 == 0,
+            "an even delta >= 2", lambda n, delta: Fraction(2 * n, delta)),
+)}
 
 
 @dataclass(frozen=True)
@@ -182,34 +210,32 @@ class SweepRow:
     has_triangle: bool
 
 
-def _leading_term(family: str, n: int, delta: int, k: int) -> Fraction:
-    """Growth term of the relevant upper bound (the part that scales with n)."""
-    if family == "G":
-        per_set = Fraction(3 * n, delta + 1)
-    elif family == "H":
-        per_set = Fraction(2 * n, delta)
-    else:
+def check_sweep(family: str, delta: int, k: int, d_values) -> Layered:
+    """The parameter rules of a sweep, checked before any graph is built:
+    the family's own rule at the smallest diameter, at least one diameter,
+    and k >= 2. Returns the family's row."""
+    if family not in LAYERED:
         raise PreconditionError(f"unknown sweep family {family!r}")
-    return Fraction(k - 1, k + 1) * per_set * comb(n, k)
+    if not d_values:
+        raise PreconditionError("sweep needs at least one diameter")
+    LAYERED[family].check(min(d_values), delta)
+    if k < 2:
+        raise PreconditionError("sweep needs k >= 2")
+    return LAYERED[family]
 
 
 def tightness_sweep(family: str, delta: int, k: int, d_values, max_subsets: int = 5_000_000):
     """Exact index-to-bound ratios across a range of diameters.
 
-    family "G" uses the minimum-degree layout against the minimum-degree
-    bound's growth term; "H" uses the triangle-free layout against the
-    triangle-free term. Ratios are exact rationals.
+    Each family is measured against the growth term of its bound, the part
+    (k-1)/(k+1) * per_set(n, delta) * C(n, k) that scales with n. Ratios are
+    exact rationals.
     """
-    if k < 2:
-        raise PreconditionError("sweep needs k >= 2")
+    d_values = list(d_values)
+    fam = check_sweep(family, delta, k, d_values)
     rows = []
     for d in d_values:
-        if family == "G":
-            g = min_degree_extremal(d, delta)
-        elif family == "H":
-            g = triangle_free_extremal(d, delta)
-        else:
-            raise PreconditionError(f"unknown sweep family {family!r}")
+        g = fam.build(d, delta)
         if k > g.n:
             raise PreconditionError(f"k={k} exceeds n={g.n} at d={d}")
         if comb(g.n, k) > max_subsets:
@@ -217,17 +243,8 @@ def tightness_sweep(family: str, delta: int, k: int, d_values, max_subsets: int 
                 f"sweep at d={d} needs {comb(g.n, k)} subsets (cap {max_subsets})"
             )
         sw = steiner_wiener(g, k)
-        term = _leading_term(family, g.n, delta, k)
-        rows.append(
-            SweepRow(
-                d=d,
-                n=g.n,
-                sw=sw,
-                bound_term=term,
-                ratio=Fraction(sw) / term,
-                has_triangle=has_triangle(g),
-            )
-        )
+        term = Fraction(k - 1, k + 1) * fam.per_set(g.n, delta) * comb(g.n, k)
+        rows.append(SweepRow(d, g.n, sw, term, Fraction(sw) / term, has_triangle(g)))
     return rows
 
 

@@ -144,11 +144,6 @@ def bfs_distances(g: Graph, source: int) -> list:
     return bfs_nearest(g, (source,))[0]
 
 
-def bfs_from_set(g: Graph, sources) -> list:
-    """Hop distances to the nearest of several sources (None if unreachable)."""
-    return bfs_nearest(g, sources)[0]
-
-
 def all_pairs_distances(g: Graph) -> list:
     """Distance matrix as a list of BFS rows (None marks unreachable pairs)."""
     return [bfs_distances(g, u) for u in range(g.n)]
@@ -201,68 +196,6 @@ def has_triangle(g: Graph) -> bool:
             if u < v and nbr_sets[u] & nbr_sets[v]:
                 return True
     return False
-
-
-def power_graph(g: Graph, p: int, restrict_to=None) -> tuple[Graph, list[int]]:
-    """p-th power, optionally restricted to a vertex subset.
-
-    Vertices u, v become adjacent when 1 <= d_G(u, v) <= p (distances in the
-    full graph, even when restricting). Returns the relabeled graph together
-    with the id map new_id -> old_id.
-    """
-    if p < 1:
-        raise PreconditionError("power must be >= 1")
-    if restrict_to is None:
-        keep = list(range(g.n))
-    else:
-        keep = sorted(set(restrict_to))
-        for v in keep:
-            if not 0 <= v < g.n:
-                raise PreconditionError(f"restricted vertex {v} out of range")
-    index = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for old_u in keep:
-        dist = bfs_distances(g, old_u)
-        for old_v in keep:
-            if old_v > old_u:
-                d = dist[old_v]
-                if d is not None and d <= p:
-                    edges.append((index[old_u], index[old_v]))
-    return Graph.from_edges(len(keep), edges), keep
-
-
-def line_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
-    """Line graph plus the map line-vertex id -> original edge."""
-    edge_list = g.edges()
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edge_list):
-        incident[u].append(i)
-        incident[v].append(i)
-    ledges = set()
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                ledges.add((ids[a], ids[b]))
-    return Graph.from_edges(len(edge_list), sorted(ledges)), edge_list
-
-
-def edge_distance(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> int:
-    """Min distance between an endpoint of e1 and an endpoint of e2."""
-    a, b = norm_edge(*e1)
-    x, y = norm_edge(*e2)
-    for u, v in ((a, b), (x, y)):
-        if not g.has_edge(u, v):
-            raise PreconditionError(f"edge ({u},{v}) not in graph")
-    best = None
-    for s in (a, b):
-        dist = bfs_distances(g, s)
-        for t in (x, y):
-            d = dist[t]
-            if d is not None and (best is None or d < best):
-                best = d
-    if best is None:
-        raise PreconditionError("edges lie in different components")
-    return best
 
 
 def parse_edge_list(text: str) -> Graph:

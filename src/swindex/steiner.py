@@ -14,12 +14,11 @@ from math import comb
 from operator import add, itemgetter
 
 from .errors import PreconditionError
-from .graph import Graph, all_pairs_distances, bfs_distances, is_connected, is_tree
+from .graph import Graph, all_pairs_distances, is_connected, is_tree
 from .weights import WeightFn, as_weights
 
 __all__ = [
     "steiner_distance",
-    "steiner_distance_tree",
     "steiner_wiener",
     "avg_steiner_distance",
     "steiner_wiener_weighted",
@@ -28,16 +27,13 @@ __all__ = [
 ]
 
 
-def _require_connected(g: Graph) -> None:
+def _require_connected(g: Graph) -> bool:
+    """Raise unless g is non-empty and connected; return whether it is a tree."""
     if g.n == 0:
         raise PreconditionError("graph has no vertices")
     if not is_connected(g):
         raise PreconditionError("graph is disconnected")
-
-
-def _require_tree(g: Graph) -> None:
-    if not is_tree(g):
-        raise PreconditionError("graph is not a tree")
+    return g.m == g.n - 1
 
 
 def _preorder(t: Graph) -> tuple[list[int], list[int]]:
@@ -126,27 +122,6 @@ def steiner_distance(g: Graph, terminals) -> int:
     return _set_distance(all_pairs_distances(g), ts)
 
 
-def steiner_distance_tree(t: Graph, terminals) -> int:
-    """Tree fast path: half the cyclic sum of consecutive terminal distances
-    in depth-first discovery order."""
-    _require_tree(t)
-    ts = _terminal_tuple(t, terminals)
-    if len(ts) == 1:
-        return 0
-    tin = [0] * t.n
-    for clock, v in enumerate(_preorder(t)[0]):
-        tin[v] = clock
-    order = sorted(ts, key=tin.__getitem__)
-    rows = {v: bfs_distances(t, v) for v in order}
-    total = 0
-    for i, v in enumerate(order):
-        nxt = order[(i + 1) % len(order)]
-        total += rows[v][nxt]
-    if total % 2:
-        raise AssertionError("odd cyclic distance sum on a tree")
-    return total // 2
-
-
 def _require_k(k: int, upper: int, what: str) -> None:
     if not 1 <= k <= upper:
         raise PreconditionError(f"k={k} out of range 1..{upper} ({what})")
@@ -158,12 +133,12 @@ def steiner_wiener(g: Graph, k: int) -> int:
     Trees go to the edge-cut formula, k = 2 to half the sum of the BFS rows,
     and every other case to one shared-table enumeration.
     """
-    _require_connected(g)
+    tree = _require_connected(g)
     _require_k(k, g.n, "subset size vs vertex count")
     if k == 1:
         return 0
-    if is_tree(g):
-        return steiner_wiener_weighted_tree(g, WeightFn.uniform(g.n), k)
+    if tree:
+        return _edge_cut_index(g, WeightFn.uniform(g.n), k)
     dist = all_pairs_distances(g)
     if k == 2:
         return sum(map(sum, dist)) // 2
@@ -188,13 +163,18 @@ def _exact_multiplicity(c, originals: tuple[int, ...], k: int) -> int:
 
 
 def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
-    """Weighted index via grouping: every k-subset of copies with original
-    set S* contributes d(S*), so group by S* and weigh by the exact count."""
+    """Weighted index: the edge-cut formula on trees, grouping elsewhere."""
     c = as_weights(weights, g.n)
-    _require_connected(g)
+    tree = _require_connected(g)
     _require_k(k, c.total, "subset size vs total weight")
     if k == 1:
         return 0
+    return _edge_cut_index(g, c, k) if tree else _grouped_index(g, c, k)
+
+
+def _grouped_index(g: Graph, c: WeightFn, k: int) -> int:
+    """Every k-subset of copies with original set S* contributes d(S*), so
+    group by S* and weigh by the exact count. Needs k >= 2."""
     support = c.support()
     dist = all_pairs_distances(g)
     total = 0
@@ -233,11 +213,17 @@ def steiner_wiener_weighted_naive(g: Graph, weights, k: int) -> int:
 
 
 def steiner_wiener_weighted_tree(t: Graph, weights, k: int) -> int:
-    """Tree fast path: an edge lies in the minimal subtree of a copy-set
-    exactly when both sides hold a copy, so sum per-edge cut counts."""
-    _require_tree(t)
+    """The weighted index of a tree, by the edge-cut formula."""
+    if not is_tree(t):
+        raise PreconditionError("graph is not a tree")
     c = as_weights(weights, t.n)
     _require_k(k, c.total, "subset size vs total weight")
+    return _edge_cut_index(t, c, k)
+
+
+def _edge_cut_index(t: Graph, c: WeightFn, k: int) -> int:
+    """An edge of tree t lies in the minimal subtree of a copy-set exactly
+    when both sides hold a copy, so sum per-edge cut counts."""
     order, parent = _preorder(t)
     side = [c[v] for v in range(t.n)]
     for u in reversed(order):

@@ -76,7 +76,8 @@ def _branch(adj, root: int, nb: int) -> set[int]:
 
 
 def relocate_branches(move: BranchMove) -> Graph:
-    """Apply the move; the result is checked to still be a tree.
+    """Apply the move. The result is a tree, as the host is one and each
+    branch root trades its edge to u for one to w (never already adjacent).
 
     Only the neighbor tuples of u, w and the moved branch roots change;
     every other tuple of the old tree is reused.
@@ -87,10 +88,7 @@ def relocate_branches(move: BranchMove) -> Graph:
     adj[w] = tuple(sorted(adj[w] + tuple(roots)))
     for a in roots:
         adj[a] = tuple(sorted(w if x == u else x for x in adj[a]))
-    out = Graph._trusted(move.tree.n, adj)
-    if not is_tree(out):
-        raise AssertionError("branch relocation broke the tree")
-    return out
+    return Graph._trusted(move.tree.n, adj)
 
 
 def relocation_sw_delta(move: BranchMove, weights, k: int) -> int:
@@ -124,8 +122,8 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     branch, so the weighted index never drops along the trace for any k.
     That is checked before every move, and it makes the loop end: at k = 2
     a move raises the index by c(X) * (c(U) - c(W)) >= 1, and
-    weighted_sw_bound(N, C, 2) caps that index. Returns the final path and
-    the move trace.
+    weighted_sw_bound(N, C, 2) caps that index. Each tree is proved a tree
+    once: as the host of its move, or here. Returns the path and the trace.
     """
     if not is_tree(tree):
         raise PreconditionError("input is not a tree")
@@ -140,6 +138,8 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     while True:
         pivot = next((v for v in range(t.n) if len(t.adj[v]) >= 3), None)
         if pivot is None:
+            if not is_tree(t):
+                raise AssertionError("straightening did not end in a tree")
             return t, trace
         comps = []
         for nb in t.adj[pivot]:

@@ -14,7 +14,6 @@ from swindex import (
     BranchMove,
     bound_rhs,
     cycle_graph,
-    line_graph,
     matching_spanning_tree,
     min_degree_extremal,
     packing_spanning_tree,
@@ -22,7 +21,6 @@ from swindex import (
     relocate_branches,
     relocation_sw_delta,
     steiner_distance,
-    steiner_distance_tree,
     steiner_wiener,
     steiner_wiener_weighted,
     steiner_wiener_weighted_naive,
@@ -32,6 +30,7 @@ from swindex import (
     weighted_sw_bound,
 )
 from swindex.graph import bfs_distances
+from swindex.steiner import _grouped_index
 
 from ensembles import (
     random_connected_bipartite,
@@ -40,6 +39,7 @@ from ensembles import (
     random_weights,
     subdivide_all,
 )
+from oracles import line_graph, steiner_distance_tree
 
 
 def criterion(num, name, budget_s):
@@ -203,7 +203,7 @@ def test_09_oracle_equivalences():
         if w.total < 2:
             continue
         k = rng.randint(2, min(w.total, 4))
-        assert steiner_wiener_weighted_tree(t, w, k) == steiner_wiener_weighted(t, w, k)
+        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(t, w, k)
         checked += 1
     # tree traversal vs general engine; pair case vs plain search
     for _ in range(150):

@@ -1,0 +1,119 @@
+"""The public surface, pinned so that a change to it has to be deliberate:
+the names `swindex` exports, and the signatures of the names the benchmark
+harness in bench/ reads module by module."""
+
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+import swindex
+
+PUBLIC = [
+    "BOUNDS",
+    "BOUND_IDS",
+    "BoundReport",
+    "BranchMove",
+    "Certificate",
+    "Graph",
+    "GraphFormatError",
+    "PreconditionError",
+    "SweepRow",
+    "WeightFn",
+    "__version__",
+    "all_pairs_distances",
+    "applicable",
+    "as_weights",
+    "avg_steiner_distance",
+    "bfs_distances",
+    "bound_rhs",
+    "certificate_from_json",
+    "certificate_to_json",
+    "check",
+    "check_all",
+    "classic",
+    "complete_bipartite",
+    "complete_graph",
+    "cycle_graph",
+    "diameter",
+    "empty_graph",
+    "format_edge_list",
+    "has_triangle",
+    "is_connected",
+    "is_tree",
+    "is_two_connected",
+    "matching_spanning_tree",
+    "min_degree_extremal",
+    "moves_to_json",
+    "packing_spanning_tree",
+    "parse_edge_list",
+    "parse_weight_file",
+    "path_graph",
+    "relocate_branches",
+    "relocation_sw_delta",
+    "sequential_sum",
+    "star_graph",
+    "steiner_distance",
+    "steiner_wiener",
+    "steiner_wiener_weighted",
+    "steiner_wiener_weighted_naive",
+    "steiner_wiener_weighted_tree",
+    "straighten_to_path",
+    "sweep_csv",
+    "tightness_sweep",
+    "triangle_free_extremal",
+    "verify_certificate",
+    "weighted_sw_bound",
+]
+
+# module.name -> parameter names (fields, for dataclasses built positionally)
+HARNESS = {
+    "bounds.applicable": ("g", "which", "k"),
+    "bounds.check": ("g", "which", "k"),
+    "cli.main": ("argv",),
+    "construct.certificate_from_json": ("text",),
+    "construct.certificate_to_json": ("cert",),
+    "construct.matching_spanning_tree": ("g", "start_edge"),
+    "construct.packing_spanning_tree": ("g", "start"),
+    "construct.verify_certificate": ("cert", "g", "k"),
+    "families.SweepRow": ("d", "n", "sw", "bound_term", "ratio", "has_triangle"),
+    "families.cycle_graph": ("n",),
+    "families.empty_graph": ("n",),
+    "families.min_degree_extremal": ("d", "delta"),
+    "families.path_graph": ("n",),
+    "families.sequential_sum": ("parts",),
+    "families.sweep_csv": ("rows",),
+    "families.triangle_free_extremal": ("d", "delta"),
+    "graph.Graph": ("n", "adj"),
+    "graph.has_triangle": ("g",),
+    "graph.is_tree": ("g",),
+    "graph.parse_edge_list": ("text",),
+    "steiner.avg_steiner_distance": ("g", "k"),
+    "steiner.steiner_wiener": ("g", "k"),
+    "steiner.steiner_wiener_weighted": ("g", "weights", "k"),
+    "steiner.steiner_wiener_weighted_naive": ("g", "weights", "k"),
+    "steiner.steiner_wiener_weighted_tree": ("t", "weights", "k"),
+    "transforms.moves_to_json": ("trace",),
+    "transforms.relocation_sw_delta": ("move", "weights", "k"),
+    "transforms.straighten_to_path": ("tree", "weights", "k"),
+    "weights.parse_weight_file": ("text", "n"),
+}
+
+
+def test_public_names():
+    assert sorted(swindex.__all__) == PUBLIC
+    assert all(hasattr(swindex, name) for name in PUBLIC)
+    assert isinstance(swindex.bounds.BOUND_IDS, tuple)  # the harness iterates it
+
+
+@pytest.mark.parametrize("qualified", sorted(HARNESS))
+def test_harness_signatures(qualified):
+    module, name = qualified.split(".")
+    obj = getattr(importlib.import_module(f"swindex.{module}"), name)
+    if dataclasses.is_dataclass(obj):
+        params = tuple(f.name for f in dataclasses.fields(obj))
+    else:
+        params = tuple(inspect.signature(obj).parameters)
+        assert obj.__name__ == name  # the harness labels its timings by __name__
+    assert params == HARNESS[qualified]

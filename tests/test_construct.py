@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swindex import (
     BOUNDS,
@@ -11,22 +14,18 @@ from swindex import (
     PreconditionError,
     WeightFn,
     bfs_distances,
-    bfs_from_set,
     certificate_from_json,
     certificate_to_json,
     complete_graph,
     cycle_graph,
     is_connected,
     is_tree,
-    line_graph,
     matching_spanning_tree,
     min_degree_extremal,
     packing_spanning_tree,
     path_graph,
-    power_graph,
     star_graph,
     steiner_distance,
-    steiner_distance_tree,
     steiner_wiener_weighted_tree,
     verify_certificate,
 )
@@ -37,6 +36,7 @@ from ensembles import (
     random_tree,
     subdivide_all,
 )
+from oracles import bfs_from_set, line_graph, power_graph, steiner_distance_tree
 
 
 def test_packing_path7():
@@ -226,6 +226,89 @@ def test_verifier_is_total(method, defect):
     bad, host = DEFECTS[defect](cert, g)
     reports = verify_certificate(bad, host, 2)
     assert reports and not all(r.passed for r in reports), [str(r) for r in reports]
+
+
+FUZZ_HOSTS = {
+    "packing-cycle9": (packing_spanning_tree, cycle_graph(9)),
+    "packing-g42": (packing_spanning_tree, min_degree_extremal(4, 2)),
+    "matching-path8": (matching_spanning_tree, path_graph(8)),
+    "matching-cycle6": (matching_spanning_tree, cycle_graph(6)),
+}
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# huge, negative and non-finite numbers put where a vertex id belongs
+BAD_IDS = st.sampled_from([-1, -(10**30), 99, 2**63, 10**30, 1e300, float("inf"), float("nan")])
+
+
+@st.composite
+def mutated_certificates(draw):
+    """certificate_to_json output of a real construction, then one to four
+    mutations: a dropped key, a field or one entry of it replaced by any JSON
+    value, a repeated entry (a repeated anchor when the field is anchors), or
+    a bad id in an entry."""
+    build, g = FUZZ_HOSTS[draw(st.sampled_from(sorted(FUZZ_HOSTS)))]
+    payload = json.loads(certificate_to_json(build(g)))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not payload:
+            break
+        key = draw(st.sampled_from(sorted(payload)))
+        kind = draw(st.sampled_from(["drop", "replace", "entry", "repeat", "id"]))
+        field = payload[key]
+        if kind == "drop":
+            del payload[key]
+        elif kind == "replace" or not isinstance(field, list) or not field:
+            payload[key] = draw(JSON_VALUES)
+        else:
+            i = draw(st.integers(min_value=0, max_value=len(field) - 1))
+            if kind == "entry":
+                field[i] = draw(JSON_VALUES)
+            elif kind == "repeat":
+                field.insert(draw(st.integers(min_value=0, max_value=len(field))), field[i])
+            elif isinstance(field[i], list) and field[i]:
+                j = draw(st.integers(min_value=0, max_value=len(field[i]) - 1))
+                field[i][j] = draw(BAD_IDS)
+            else:
+                field[i] = draw(BAD_IDS)
+    text = json.dumps(payload)
+    if draw(st.booleans()):
+        text = text.replace("Infinity", "1e400")  # the same float, spelled as an overflow
+    return text, g
+
+
+@given(mutated_certificates())
+@settings(max_examples=300, deadline=None)
+def test_certificate_parser_and_verifier_are_total(case):
+    text, g = case
+    try:
+        cert = certificate_from_json(text)
+    except PreconditionError:
+        return
+    reports = verify_certificate(cert, g, 2)
+    assert reports and all(isinstance(r, BoundReport) for r in reports)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"anchors":[0],"assignment":[1e400],"connectors":[],"tree_edges":[],"weights":[]}',
+        '{"anchors":[0],"assignment":[0],"connectors":[],"tree_edges":[],"weights":[[0,Infinity]]}',
+        '{"anchors":[-Infinity],"assignment":[0],"connectors":[],"tree_edges":[],"weights":[]}',
+        "[" * 100_000,
+        '{"anchors":' + "[" * 100_000,
+    ],
+    ids=["overflow-assignment", "infinity-weight", "infinity-anchor", "deep-list", "deep-field"],
+)
+def test_certificate_parser_refuses_overflow_and_nesting(text):
+    with pytest.raises(PreconditionError):
+        certificate_from_json(text)
 
 
 def test_packing_random_graphs():

@@ -60,8 +60,9 @@ def test_triangle_free_family_examples():
     assert triangle_free_extremal(3, 2).n == 8
     assert triangle_free_extremal(3, 4).n == 16  # no interior layers: still triangle-free
     assert not has_triangle(triangle_free_extremal(3, 4))
-    g = triangle_free_extremal(5, 4)
-    assert g.n == 20 and has_triangle(g)
+    g = triangle_free_extremal(5, 4)  # interior layers are independent too
+    assert g.n == 20 and not has_triangle(g)
+    assert diameter(g) == 5 and g.min_degree() == 4
     with pytest.raises(PreconditionError):
         triangle_free_extremal(4, 3)  # odd delta
     with pytest.raises(PreconditionError):
@@ -104,7 +105,7 @@ def test_sweep_rows_and_trends():
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert not any(r.has_triangle for r in rows)
     rows = tightness_sweep("H", 4, 2, range(4, 6))
-    assert all(r.has_triangle for r in rows)
+    assert not any(r.has_triangle for r in rows)
 
 
 def test_sweep_validates():

@@ -10,22 +10,18 @@ from swindex import (
     PreconditionError,
     all_pairs_distances,
     bfs_distances,
-    bfs_from_set,
     classic,
     complete_graph,
     cycle_graph,
     diameter,
-    edge_distance,
     format_edge_list,
     has_triangle,
     is_connected,
     is_tree,
     is_two_connected,
-    line_graph,
     min_degree_extremal,
     parse_edge_list,
     path_graph,
-    power_graph,
     sequential_sum,
     star_graph,
     triangle_free_extremal,
@@ -33,6 +29,7 @@ from swindex import (
 from swindex.graph import bfs_nearest
 
 from ensembles import random_connected_graph, random_tree
+from oracles import bfs_from_set, edge_distance, line_graph, power_graph
 
 
 def petersen() -> Graph:

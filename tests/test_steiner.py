@@ -8,6 +8,7 @@ import pytest
 from swindex import (
     Graph,
     PreconditionError,
+    WeightFn,
     avg_steiner_distance,
     bfs_distances,
     complete_graph,
@@ -15,13 +16,14 @@ from swindex import (
     path_graph,
     star_graph,
     steiner_distance,
-    steiner_distance_tree,
     steiner_wiener,
     steiner_wiener_weighted,
     steiner_wiener_weighted_naive,
 )
+from swindex.steiner import _grouped_index
 
 from ensembles import random_connected_graph, random_tree, random_weights
+from oracles import steiner_distance_tree
 
 
 def steiner_brute(g: Graph, terminals) -> int:
@@ -111,7 +113,7 @@ def test_engine_matches_per_subset_reference():
         expected = sum(steiner_per_subset(dist, c) for c in combos)
         assert steiner_wiener(g, k) == expected, (g.edges(), k)
         # the enumeration itself, bypassing the tree and k = 2 dispatch
-        assert steiner_wiener_weighted(g, 1, k) == expected, (g.edges(), k)
+        assert _grouped_index(g, WeightFn.uniform(g.n), k) == expected, (g.edges(), k)
         for c in combos[:: max(1, len(combos) // 6)]:
             assert steiner_distance(g, c) == steiner_per_subset(dist, c) == steiner_brute(g, c)
         w = random_weights(g.n, rng, lo=0, hi=2)

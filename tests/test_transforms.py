@@ -19,6 +19,7 @@ from swindex import (
     steiner_wiener,
     steiner_wiener_weighted_tree,
     straighten_to_path,
+    transforms,
     weighted_sw_bound,
 )
 
@@ -258,6 +259,23 @@ def test_straighten_terminates_by_pair_index():
             out, weights, k
         ) - steiner_wiener_weighted_tree(t, weights, k)
         assert pair_index <= weighted_sw_bound(weights.total, weights.min_weight(), 2)
+
+
+def test_straighten_proves_each_tree_once(monkeypatch):
+    # one tree proof per move (its host) plus the input check and the final
+    # path, however long the trace
+    calls = []
+    real = transforms.is_tree
+    monkeypatch.setattr(transforms, "is_tree", lambda g: calls.append(g) or real(g))
+    rng = random.Random(29)
+    for n in (2, 4, 60, 200):
+        t = random_tree(n, rng)
+        weights = random_weights(n, rng, lo=1, hi=4)
+        calls.clear()
+        out, trace = straighten_to_path(t, weights, 2)
+        assert len(calls) == len(trace) + 2
+        assert calls[-1] is out
+    assert len(trace) > 100
 
 
 def test_straighten_needs_more_moves_than_vertices():

@@ -8,6 +8,8 @@ from swindex import (
     PreconditionError,
     WeightFn,
     as_weights,
+    format_edge_list,
+    graph,
     parse_weight_file,
     path_graph,
     steiner_wiener,
@@ -15,6 +17,8 @@ from swindex import (
     steiner_wiener_weighted_naive,
     steiner_wiener_weighted_tree,
 )
+from swindex.cli import main
+from swindex.steiner import _grouped_index
 
 from ensembles import random_connected_graph, random_tree, random_weights
 
@@ -95,9 +99,10 @@ def test_tree_fast_path_matches_grouped():
         if w.total < 2:
             continue
         k = rng.randint(2, min(w.total, 5))
-        assert steiner_wiener_weighted_tree(t, w, k) == steiner_wiener_weighted(
-            t, w, k
-        )
+        # the grouped engine itself: steiner_wiener_weighted sends trees to
+        # the edge-cut formula
+        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(t, w, k)
+        assert steiner_wiener_weighted(t, w, k) == steiner_wiener_weighted_tree(t, w, k)
         checked += 1
 
 
@@ -106,3 +111,30 @@ def test_weighted_validates():
         steiner_wiener_weighted(path_graph(3), [1, 1, 1], 4)  # k above total
     with pytest.raises(PreconditionError):
         steiner_wiener_weighted_tree(Graph.from_edges(2, []), [1, 1], 1)
+
+
+def test_trees_are_searched_once(monkeypatch, tmp_path, capsys):
+    # one search proves a tree connected, and its edge count then proves it
+    # a tree: the library calls and a weighted compute each search once
+    calls = []
+    real = graph.bfs_nearest
+
+    def counting(g, sources, limit=None):
+        calls.append(g)
+        return real(g, sources, limit)
+
+    monkeypatch.setattr(graph, "bfs_nearest", counting)
+    t = random_tree(40, random.Random(3))
+    w = random_weights(40, random.Random(4), lo=1, hi=3)
+    (tmp_path / "t.txt").write_text(format_edge_list(t))
+    argv = ["compute", "--graph", str(tmp_path / "t.txt"), "--uniform-weight", "2", "--k", "3"]
+    for run in (
+        lambda: steiner_wiener(t, 3),
+        lambda: steiner_wiener_weighted(t, w, 3),
+        lambda: steiner_wiener_weighted_tree(t, w, 3),
+        lambda: main(argv),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+    assert capsys.readouterr().out == f"{steiner_wiener_weighted_tree(t, 2, 3)}\n"
