@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Callable
 
@@ -171,20 +172,28 @@ def bound_rhs(which: str, **params) -> Fraction:
     return value
 
 
+def _refusals(g: Graph, k: int, names) -> dict[str, str]:
+    """The reason each named bound does not apply to g, "" where it does.
+    Connectivity is proved once and each shared requirement evaluated once."""
+    if not is_connected(g):
+        return dict.fromkeys(names, "graph is disconnected")
+    holds = cache(lambda need: need[0](g))
+    out = {}
+    for name in names:
+        row = BOUNDS[name]
+        if row.pairs:
+            reason = "needs n >= 2 (Wiener index over pairs)" if g.n < 2 else ""
+        else:
+            reason = "" if 1 <= k <= g.n else f"k={k} out of range 1..{g.n}"
+        out[name] = reason or next((need[1] for need in row.requires if not holds(need)), "")
+    return out
+
+
 def applicable(g: Graph, which: str, k: int) -> tuple[bool, str]:
     """Whether a bound's structural precondition holds for g (with reason)."""
-    row = _row(which)
-    if not is_connected(g):
-        return False, "graph is disconnected"
-    if row.pairs:
-        if g.n < 2:
-            return False, "needs n >= 2 (Wiener index over pairs)"
-    elif not 1 <= k <= g.n:
-        return False, f"k={k} out of range 1..{g.n}"
-    for holds, reason in row.requires:
-        if not holds(g):
-            return False, reason
-    return True, ""
+    _row(which)
+    reason = _refusals(g, k, (which,))[which]
+    return not reason, reason
 
 
 def check(g: Graph, which: str, k: int = 2) -> BoundReport:
@@ -198,14 +207,14 @@ def check(g: Graph, which: str, k: int = 2) -> BoundReport:
 
 def check_all(g: Graph, k: int, names=BOUND_IDS) -> list[tuple[str, BoundReport | str]]:
     """`check` each named bound, in BOUND_IDS order: pairs (name, report),
-    or (name, reason) for a bound that does not apply. Each distinct index,
-    SW_2 or SW_k, is measured once for the whole list."""
+    or (name, reason) for a bound that does not apply. Connectivity is
+    proved once, and each distinct index, SW_2 or SW_k, measured once for
+    the whole list."""
     n = g.n
     measured: dict[int, int] = {}
     out = []
-    for name in (x for x in BOUND_IDS if x in names):
-        ok, reason = applicable(g, name, k)
-        if not ok:
+    for name, reason in _refusals(g, k, [x for x in BOUND_IDS if x in names]).items():
+        if reason:
             out.append((name, reason))
             continue
         row = BOUNDS[name]

@@ -170,14 +170,12 @@ def cmd_construct(args) -> int:
         raise PreconditionError(f"k={args.k} out of range 1..{g.n}")
     if args.method == "packing":
         cert = packing_spanning_tree(g, start=args.start)
-        anchors = " ".join(str(a) for a in cert.anchors)
     else:
         start_edge = tuple(args.start_edge) if args.start_edge else None
         cert = matching_spanning_tree(g, start_edge=start_edge)
-        anchors = " ".join(f"{u}-{v}" for u, v in cert.anchors)
     if args.out:
         Path(args.out).write_text(certificate_to_json(cert) + "\n")
-    print(f"anchors {anchors}")
+    print("anchors", *("-".join(map(str, group)) for group in cert.groups()))
     reports = verify_certificate(cert, g, k=args.k)
     for rep in reports:
         print(rep)

@@ -1,10 +1,11 @@
 """Spanning-tree constructions with machine-checkable certificates.
 
-Both constructors grow a forest of local stars around a set of anchors kept
-pairwise far apart, connect consecutive stars with single edges, attach the
-leftover vertices, and record enough data (anchors, connectors, weights,
-nearest-anchor assignment) for an independent verifier to re-check every
-structural claim and the resulting index bound.
+Both constructors run one grower: a star around each anchor group kept
+far from the others (one vertex for packing, an edge's ends for matching),
+one edge joining each new star to the forest, then the leftover vertices. It
+records enough data (anchors, connectors, weights, nearest-anchor
+assignment) for an independent verifier to re-check every structural claim
+and the resulting index bound.
 """
 
 from __future__ import annotations
@@ -60,28 +61,20 @@ class Certificate:
             return "matching"
         return "packing"
 
+    @staticmethod
+    def group(anchor) -> tuple[int, ...]:
+        """An anchor's vertices: a packing anchor alone, or both ends of a
+        matching edge."""
+        return anchor if isinstance(anchor, tuple) else (anchor,)
+
+    def groups(self) -> list[tuple[int, ...]]:
+        return [self.group(a) for a in self.anchors]
+
     def weight_map(self) -> dict:
         return dict(self.weights)
 
     def anchor_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for group in _anchor_groups(self) for v in group}))
-
-
-def _anchor_groups(cert: Certificate) -> list[tuple[int, ...]]:
-    """Anchors as vertex groups: one vertex per packing anchor, two per edge."""
-    if cert.kind == "matching":
-        return list(cert.anchors)
-    return [(a,) for a in cert.anchors]
-
-
-def _certificate(tree, anchors, vertices, connectors, assignment) -> Certificate:
-    """Package a construction, weighing each anchor vertex by the number of
-    vertices credited to it."""
-    tally = dict.fromkeys(vertices, 0)
-    for a in assignment:
-        tally[a] += 1
-    weights = tuple(sorted(tally.items()))
-    return Certificate(tree, tuple(anchors), tuple(connectors), weights, tuple(assignment))
+        return tuple(sorted({v for group in self.groups() for v in group}))
 
 
 def _within_three(g: Graph, source: int) -> list:
@@ -90,68 +83,88 @@ def _within_three(g: Graph, source: int) -> list:
     return [4 if d is None else d for d in bfs_nearest(g, (source,), 3)[0]]
 
 
-def _walk_middle_edge(g: Graph, start: int, goal_row, length: int) -> tuple[int, int]:
-    """Follow a shortest path of the given length from start toward the goal
+def _walk_middle_edge(g: Graph, start: int, goal_row) -> tuple[int, int]:
+    """Follow a shortest path of length 3 from start toward the goal
     (lowest-id neighbor each step) and return its middle edge."""
-    path = [start]
-    cur = start
-    for _ in range(length):
-        step = next(
-            v for v in g.adj[cur] if goal_row[v] == goal_row[cur] - 1
-        )
-        path.append(step)
-        cur = step
-    mid = length // 2
-    return norm_edge(path[mid], path[mid + 1])
+    first = next(v for v in g.adj[start] if goal_row[v] == 2)
+    return norm_edge(first, next(v for v in g.adj[first] if goal_row[v] == 1))
+
+
+def _grow_forest(g: Graph, first, next_anchor, reach: int, attach) -> tuple[Certificate, list]:
+    """The star forest both constructions share, finished into a certificate.
+
+    Anchors come from `first`, then from next_anchor(dist_set) until it
+    returns None. An anchor's star, the closed neighborhood of its group,
+    must not meet the forest. It joins through the middle edge of a shortest
+    path from a group vertex to the lowest earlier anchor vertex at distance 3.
+    Every vertex must end within `reach` of the anchor vertices, and
+    attach(in_tree, vertices) hangs the rest. Returns the certificate and the
+    distances in g to the anchor vertices, capped at 4.
+    """
+    anchors, vertices, connectors = [], [], []
+    tree_edges, in_tree = set(), set()
+    # distance to the anchor vertices, capped at 4 (exact up to 3)
+    dist_set = [4] * g.n
+    anchor = first
+    while anchor is not None:
+        group = Certificate.group(anchor)
+        star = {x for z in group for x in (z, *g.adj[z])}
+        if star & in_tree:
+            raise AssertionError("new star overlaps the grown forest")
+        tree_edges.update(norm_edge(z, x) for z in group for x in g.adj[z])
+        rows = [_within_three(g, z) for z in group]
+        if anchors:
+            nearest, end = min(
+                (m, z) for z, row in zip(group, rows) for m in vertices if row[m] == 3
+            )
+            connector = _walk_middle_edge(g, end, _within_three(g, nearest))
+            tree_edges.add(connector)
+            connectors.append(connector)
+        anchors.append(anchor)
+        vertices.extend(group)
+        in_tree |= star
+        dist_set = list(map(min, dist_set, *rows))
+        anchor = next_anchor(dist_set)
+    far = [v for v in range(g.n) if dist_set[v] > reach]
+    if far:
+        raise AssertionError(f"vertices beyond distance {reach} of the anchors: {far}")
+    tree_edges.update(attach(in_tree, vertices))
+    tree = Graph.from_edges(g.n, sorted(tree_edges))
+    if not is_tree(tree):
+        raise AssertionError("construction did not produce a tree")
+    # a tree that keeps every distance credits each vertex within reach hops
+    tree_dist, assignment = bfs_nearest(tree, vertices)
+    if tree_dist != dist_set:
+        raise AssertionError("attachment failed to preserve distances to the anchors")
+    tally = dict.fromkeys(vertices, 0)
+    for a in assignment:
+        tally[a] += 1
+    weights = tuple(sorted(tally.items()))
+    cert = Certificate(tree, tuple(anchors), tuple(connectors), weights, tuple(assignment))
+    return cert, dist_set
 
 
 def packing_spanning_tree(g: Graph, start: int = 0) -> Certificate:
     """Grow stars around a maximal distance-3 packing of anchors.
 
     New anchors are taken at distance exactly 3 from the current packing
-    (lowest id first); consecutive stars are joined by the middle edge of a
-    shortest path to the nearest earlier anchor. Leftover vertices all sit
-    at distance 2 and attach next to their assigned anchor.
+    (lowest id first). Leftover vertices all sit at distance 2 and attach
+    next to their nearest anchor.
     """
     if not is_connected(g) or g.n == 0:
         raise PreconditionError("graph must be connected and non-empty")
     if not 0 <= start < g.n:
         raise PreconditionError(f"start vertex {start} out of range")
-    anchors = [start]
-    tree_edges = {norm_edge(start, x) for x in g.adj[start]}
-    in_tree = {start} | set(g.adj[start])
-    connectors: list[tuple[int, int]] = []
-    # distance to the packing, capped at 4 (exact up to 3)
-    dist_set = _within_three(g, start)
-    while 3 in dist_set:
-        candidate = dist_set.index(3)
-        star = {candidate} | set(g.adj[candidate])
-        if star & in_tree:
-            raise AssertionError("new star overlaps the grown forest")
-        tree_edges.update(norm_edge(candidate, x) for x in g.adj[candidate])
-        from_cand = _within_three(g, candidate)
-        nearest = next(a for a in sorted(anchors) if from_cand[a] == 3)
-        to_nearest = _within_three(g, nearest)
-        connector = _walk_middle_edge(g, candidate, to_nearest, 3)
-        tree_edges.add(connector)
-        connectors.append(connector)
-        anchors.append(candidate)
-        in_tree |= star
-        dist_set = list(map(min, dist_set, from_cand))
-    uncovered = [v for v in range(g.n) if dist_set[v] > 2]
-    if uncovered:
-        raise AssertionError(f"vertices beyond distance 2 of the packing: {uncovered}")
-    assignment = bfs_nearest(g, anchors)[1]
-    for v in range(g.n):
-        if v in in_tree:
-            continue
-        a = assignment[v]
-        hook = next(x for x in g.adj[v] if g.has_edge(x, a))
-        tree_edges.add(norm_edge(v, hook))
-    tree = Graph.from_edges(g.n, sorted(tree_edges))
-    if not is_tree(tree):
-        raise AssertionError("packing construction did not produce a tree")
-    return _certificate(tree, anchors, anchors, connectors, assignment)
+
+    def hook(in_tree, anchors) -> list[tuple[int, int]]:
+        near = bfs_nearest(g, anchors)[1]
+        return [
+            norm_edge(v, next(x for x in g.adj[v] if g.has_edge(x, near[v])))
+            for v in range(g.n)
+            if v not in in_tree
+        ]
+
+    return _grow_forest(g, start, lambda d: d.index(3) if 3 in d else None, 2, hook)[0]
 
 
 def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
@@ -173,21 +186,14 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
         first = norm_edge(*start_edge)
         if not g.has_edge(*first):
             raise PreconditionError(f"start edge {first} not in graph")
-    matching = [first]
-    matched: list[int] = [first[0], first[1]]
-    tree_edges = set()
-    for end in first:
-        tree_edges.update(norm_edge(end, x) for x in g.adj[end])
-    in_tree = set(g.adj[first[0]]) | set(g.adj[first[1]])
-    connectors: list[tuple[int, int]] = []
-    # distance to the matched set, capped at 4 (exact up to 3)
-    dist_set = list(map(min, *(_within_three(g, end) for end in first)))
     far = range(g.n)
-    while True:
+
+    def next_edge(dist_set) -> tuple[int, int] | None:
         # the lowest edge (u, v), u < v, whose nearer end is at distance 3;
         # dist_set only falls, so a vertex that leaves `far` never returns
+        nonlocal far
         far = [u for u in far if dist_set[u] >= 3]
-        candidate = next(
+        return next(
             (
                 (u, v)
                 for u in far
@@ -196,57 +202,26 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
             ),
             None,
         )
-        if candidate is None:
-            break
-        star = set(g.adj[candidate[0]]) | set(g.adj[candidate[1]])
-        if star & in_tree:
-            raise AssertionError("new double star overlaps the grown forest")
-        for end in candidate:
-            tree_edges.update(norm_edge(end, x) for x in g.adj[end])
-        rows = {z: _within_three(g, z) for z in candidate}
-        nearest_pair = min(
-            (m, z)
-            for z in candidate
-            for m in matched
-            if rows[z][m] == 3
-        )
-        to_nearest = _within_three(g, nearest_pair[0])
-        connector = _walk_middle_edge(g, nearest_pair[1], to_nearest, 3)
-        tree_edges.add(connector)
-        connectors.append(connector)
-        matching.append(candidate)
-        matched.extend(candidate)
-        in_tree |= star
-        dist_set = list(map(min, dist_set, *rows.values()))
+
+    def outward(in_tree, _) -> list[tuple[int, int]]:
+        # discovery edges of a search from the star forest
+        seen = set(in_tree)
+        queue = deque(sorted(in_tree))
+        edges = []
+        while queue:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    edges.append(norm_edge(u, v))
+                    queue.append(v)
+        return edges
+
+    cert, dist_set = _grow_forest(g, first, next_edge, 3, outward)
     bad_edges = [e for e in all_edges if min(dist_set[e[0]], dist_set[e[1]]) > 2]
     if bad_edges:
         raise AssertionError(f"edges beyond edge-distance 2 of the matching: {bad_edges}")
-    far = [v for v in range(g.n) if dist_set[v] > 3]
-    if far:
-        raise AssertionError(f"vertices beyond distance 3 of the matched set: {far}")
-    # attach the rest outward from the star forest; discovery edges keep
-    # every distance to the matched set intact
-    layer = [None] * g.n
-    queue = deque()
-    for v in sorted(in_tree):
-        layer[v] = 0
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if layer[v] is None:
-                layer[v] = layer[u] + 1
-                tree_edges.add(norm_edge(u, v))
-                queue.append(v)
-    tree = Graph.from_edges(g.n, sorted(tree_edges))
-    if not is_tree(tree):
-        raise AssertionError("matching construction did not produce a tree")
-    # assign along tree distances: the tree realizes every set-distance, so
-    # each vertex has a matched vertex within 3 tree hops
-    tree_dist, assignment = bfs_nearest(tree, matched)
-    if tree_dist != dist_set:
-        raise AssertionError("attachment failed to preserve distances to the matching")
-    return _certificate(tree, matching, matched, connectors, assignment)
+    return cert
 
 
 def _labelled_search(h: Graph, sources) -> tuple[list[int], list]:
@@ -304,7 +279,7 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
         return reports
     packing = cert.kind == "packing"
     reach = 2 if packing else 3
-    groups = _anchor_groups(cert)
+    groups = cert.groups()
     vertices = cert.anchor_vertices()
     # group of each anchor vertex in g; a vertex in two groups puts them at
     # distance 0
@@ -425,7 +400,7 @@ def certificate_from_json(text: str) -> Certificate:
         tree = Graph.from_edges(
             n, [tuple(e) for e in payload["tree_edges"]]
         )
-        connectors = tuple(norm_edge(*e) for e in payload["connectors"])
+        connectors = tuple(norm_edge(int(u), int(v)) for u, v in payload["connectors"])
         weights = tuple((int(v), int(w)) for v, w in payload["weights"])
         raw_anchors = payload["anchors"]
         if raw_anchors and isinstance(raw_anchors[0], list):

@@ -126,7 +126,7 @@ def min_degree_extremal(d: int, delta: int) -> Graph:
     s = (delta + 1) // 3
     end = [complete_graph(delta)]
     g = sequential_sum(end + [complete_graph(s)] * (d - 1) + end)
-    assert g.n == (d + 5) * (delta + 1) // 3 - 2
+    assert g.n == LAYERED["G"].order(d, delta)
     assert diameter(g) == d
     if d == 1:
         expected = 2 * delta - 1  # the two end cliques merge into one
@@ -150,7 +150,7 @@ def triangle_free_extremal(d: int, delta: int) -> Graph:
     LAYERED["H"].check(d, delta)
     side = [empty_graph(delta)] * 2
     g = sequential_sum(side + [empty_graph(delta // 2)] * (d - 3) + side)
-    assert g.n == 4 * delta + (d - 3) * delta // 2
+    assert g.n == LAYERED["H"].order(d, delta)
     assert diameter(g) == d
     assert g.min_degree() == delta
     assert not has_triangle(g)
@@ -159,12 +159,14 @@ def triangle_free_extremal(d: int, delta: int) -> Graph:
 
 @dataclass(frozen=True)
 class Layered:
-    """One layered family: its builder, the smallest diameter it builds, its
-    rule on delta with the text that states it, and the growth term per
-    k-subset of the bound its sweep is measured against."""
+    """One layered family: its builder with the order of the graph it builds
+    from (d, delta), the smallest diameter it builds, its rule on delta with
+    the text that states it, and the growth term per k-subset of the bound
+    its sweep is measured against."""
 
     name: str
     build: Callable[[int, int], Graph]
+    order: Callable[[int, int], int]
     d_floor: int
     delta_ok: Callable[[int], bool]
     delta_rule: str
@@ -190,10 +192,12 @@ CLASSIC = {
 # G tracks the minimum-degree bound, 3n/(delta+1) per set; H tracks the
 # triangle-free bound, 2n/delta per set
 LAYERED = {fam.name: fam for fam in (
-    Layered("G", min_degree_extremal, 1, lambda delta: delta >= 2 and delta % 3 == 2,
+    Layered("G", min_degree_extremal, lambda d, delta: (d + 5) * (delta + 1) // 3 - 2,
+            1, lambda delta: delta >= 2 and delta % 3 == 2,
             "delta >= 2 with delta + 1 divisible by 3",
             lambda n, delta: Fraction(3 * n, delta + 1)),
-    Layered("H", triangle_free_extremal, 3, lambda delta: delta >= 2 and delta % 2 == 0,
+    Layered("H", triangle_free_extremal, lambda d, delta: 4 * delta + (d - 3) * delta // 2,
+            3, lambda delta: delta >= 2 and delta % 2 == 0,
             "an even delta >= 2", lambda n, delta: Fraction(2 * n, delta)),
 )}
 
@@ -229,19 +233,22 @@ def tightness_sweep(family: str, delta: int, k: int, d_values, max_subsets: int 
 
     Each family is measured against the growth term of its bound, the part
     (k-1)/(k+1) * per_set(n, delta) * C(n, k) that scales with n. Ratios are
-    exact rationals.
+    exact rationals. Every diameter is checked against k and the subset cap
+    before any graph is built.
     """
     d_values = list(d_values)
     fam = check_sweep(family, delta, k, d_values)
+    for d in d_values:
+        n = fam.order(d, delta)
+        if k > n:
+            raise PreconditionError(f"k={k} exceeds n={n} at d={d}")
+        if comb(n, k) > max_subsets:
+            raise PreconditionError(
+                f"sweep at d={d} needs {comb(n, k)} subsets (cap {max_subsets})"
+            )
     rows = []
     for d in d_values:
         g = fam.build(d, delta)
-        if k > g.n:
-            raise PreconditionError(f"k={k} exceeds n={g.n} at d={d}")
-        if comb(g.n, k) > max_subsets:
-            raise PreconditionError(
-                f"sweep at d={d} needs {comb(g.n, k)} subsets (cap {max_subsets})"
-            )
         sw = steiner_wiener(g, k)
         term = Fraction(k - 1, k + 1) * fam.per_set(g.n, delta) * comb(g.n, k)
         rows.append(SweepRow(d, g.n, sw, term, Fraction(sw) / term, has_triangle(g)))

@@ -2,12 +2,15 @@
 
 None of these is used by the library itself: the power and line graphs spell
 out the conditions the certificate verifier reads off labelled searches, the
-tree Steiner distance checks the general engine on trees, and the rest are
-small distance helpers written the obvious way.
+tree Steiner distance checks the general engine on trees, the two spanning-tree
+constructors are written out loop by loop as a check on the shared star-forest
+grower, and the rest are small distance helpers written the obvious way.
 """
 
-from swindex import Graph, PreconditionError, bfs_distances, is_tree
-from swindex.graph import bfs_nearest, norm_edge
+from collections import deque
+
+from swindex import Certificate, Graph, PreconditionError, bfs_distances, is_tree
+from swindex.graph import bfs_nearest, has_triangle, is_connected, norm_edge
 
 
 def bfs_from_set(g: Graph, sources) -> list:
@@ -110,3 +113,146 @@ def steiner_distance_tree(t: Graph, terminals) -> int:
     if total % 2:
         raise AssertionError("odd cyclic distance sum on a tree")
     return total // 2
+
+
+def _within_three(g: Graph, source: int) -> list:
+    return [4 if d is None else d for d in bfs_nearest(g, (source,), 3)[0]]
+
+
+def _walk_middle_edge(g: Graph, start: int, goal_row, length: int) -> tuple[int, int]:
+    path = [start]
+    cur = start
+    for _ in range(length):
+        step = next(v for v in g.adj[cur] if goal_row[v] == goal_row[cur] - 1)
+        path.append(step)
+        cur = step
+    mid = length // 2
+    return norm_edge(path[mid], path[mid + 1])
+
+
+def _certificate(tree, anchors, vertices, connectors, assignment) -> Certificate:
+    tally = dict.fromkeys(vertices, 0)
+    for a in assignment:
+        tally[a] += 1
+    weights = tuple(sorted(tally.items()))
+    return Certificate(tree, tuple(anchors), tuple(connectors), weights, tuple(assignment))
+
+
+def packing_spanning_tree_reference(g: Graph, start: int = 0) -> Certificate:
+    """Stars around a distance-3 packing, grown by their own loop."""
+    if not is_connected(g) or g.n == 0:
+        raise PreconditionError("graph must be connected and non-empty")
+    if not 0 <= start < g.n:
+        raise PreconditionError(f"start vertex {start} out of range")
+    anchors = [start]
+    tree_edges = {norm_edge(start, x) for x in g.adj[start]}
+    in_tree = {start} | set(g.adj[start])
+    connectors = []
+    dist_set = _within_three(g, start)
+    while 3 in dist_set:
+        candidate = dist_set.index(3)
+        star = {candidate} | set(g.adj[candidate])
+        if star & in_tree:
+            raise AssertionError("new star overlaps the grown forest")
+        tree_edges.update(norm_edge(candidate, x) for x in g.adj[candidate])
+        from_cand = _within_three(g, candidate)
+        nearest = next(a for a in sorted(anchors) if from_cand[a] == 3)
+        to_nearest = _within_three(g, nearest)
+        connector = _walk_middle_edge(g, candidate, to_nearest, 3)
+        tree_edges.add(connector)
+        connectors.append(connector)
+        anchors.append(candidate)
+        in_tree |= star
+        dist_set = list(map(min, dist_set, from_cand))
+    uncovered = [v for v in range(g.n) if dist_set[v] > 2]
+    if uncovered:
+        raise AssertionError(f"vertices beyond distance 2 of the packing: {uncovered}")
+    assignment = bfs_nearest(g, anchors)[1]
+    for v in range(g.n):
+        if v in in_tree:
+            continue
+        a = assignment[v]
+        hook = next(x for x in g.adj[v] if g.has_edge(x, a))
+        tree_edges.add(norm_edge(v, hook))
+    tree = Graph.from_edges(g.n, sorted(tree_edges))
+    if not is_tree(tree):
+        raise AssertionError("packing construction did not produce a tree")
+    return _certificate(tree, anchors, anchors, connectors, assignment)
+
+
+def matching_spanning_tree_reference(g: Graph, start_edge=None) -> Certificate:
+    """Double stars around a matching at edge-distance >= 3, grown by their
+    own loop."""
+    if not is_connected(g) or g.n < 2:
+        raise PreconditionError("graph must be connected with at least one edge")
+    if has_triangle(g):
+        raise PreconditionError("graph contains a triangle")
+    all_edges = g.edges()
+    if start_edge is None:
+        first = all_edges[0]
+    else:
+        first = norm_edge(*start_edge)
+        if not g.has_edge(*first):
+            raise PreconditionError(f"start edge {first} not in graph")
+    matching = [first]
+    matched = [first[0], first[1]]
+    tree_edges = set()
+    for end in first:
+        tree_edges.update(norm_edge(end, x) for x in g.adj[end])
+    in_tree = set(g.adj[first[0]]) | set(g.adj[first[1]])
+    connectors = []
+    dist_set = list(map(min, *(_within_three(g, end) for end in first)))
+    far = range(g.n)
+    while True:
+        far = [u for u in far if dist_set[u] >= 3]
+        candidate = next(
+            (
+                (u, v)
+                for u in far
+                for v in g.adj[u]
+                if v > u and min(dist_set[u], dist_set[v]) == 3
+            ),
+            None,
+        )
+        if candidate is None:
+            break
+        star = set(g.adj[candidate[0]]) | set(g.adj[candidate[1]])
+        if star & in_tree:
+            raise AssertionError("new double star overlaps the grown forest")
+        for end in candidate:
+            tree_edges.update(norm_edge(end, x) for x in g.adj[end])
+        rows = {z: _within_three(g, z) for z in candidate}
+        nearest_pair = min((m, z) for z in candidate for m in matched if rows[z][m] == 3)
+        to_nearest = _within_three(g, nearest_pair[0])
+        connector = _walk_middle_edge(g, nearest_pair[1], to_nearest, 3)
+        tree_edges.add(connector)
+        connectors.append(connector)
+        matching.append(candidate)
+        matched.extend(candidate)
+        in_tree |= star
+        dist_set = list(map(min, dist_set, *rows.values()))
+    bad_edges = [e for e in all_edges if min(dist_set[e[0]], dist_set[e[1]]) > 2]
+    if bad_edges:
+        raise AssertionError(f"edges beyond edge-distance 2 of the matching: {bad_edges}")
+    far = [v for v in range(g.n) if dist_set[v] > 3]
+    if far:
+        raise AssertionError(f"vertices beyond distance 3 of the matched set: {far}")
+    layer = [None] * g.n
+    queue = deque()
+    for v in sorted(in_tree):
+        layer[v] = 0
+        queue.append(v)
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if layer[v] is None:
+                layer[v] = layer[u] + 1
+                tree_edges.add(norm_edge(u, v))
+                queue.append(v)
+    tree = Graph.from_edges(g.n, sorted(tree_edges))
+    if not is_tree(tree):
+        raise AssertionError("matching construction did not produce a tree")
+    tree_dist, assignment = bfs_nearest(tree, matched)
+    if tree_dist != dist_set:
+        raise AssertionError("attachment failed to preserve distances to the matching")
+    return _certificate(tree, matching, matched, connectors, assignment)

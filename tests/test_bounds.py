@@ -12,6 +12,7 @@ from swindex import (
     applicable,
     bound_rhs,
     check,
+    check_all,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -19,7 +20,7 @@ from swindex import (
 )
 from swindex.cli import main
 
-from ensembles import random_connected_bipartite, random_connected_graph
+from ensembles import random_connected_bipartite, random_connected_graph, random_tree
 
 
 def test_evaluator_values():
@@ -98,6 +99,30 @@ def test_applicability():
     for name in BOUND_IDS:
         ok, reason = applicable(two, name, 2)
         assert not ok and "disconnected" in reason
+
+
+def test_check_all_proves_connectivity_once(searches):
+    # one search proves connectivity, one each for eq2's 2-connectivity,
+    # lemma2's tree check, and the connectivity checks of SW_2 and SW_3
+    tree = random_tree(30, random.Random(97))
+    reports = check_all(tree, 3)
+    assert len(searches) <= 5
+    assert [name for name, _ in reports] == list(BOUND_IDS)
+    searches.clear()
+    # the cycle adds two all-pairs searches, 12 rows each
+    check_all(cycle_graph(12), 4)
+    assert len(searches) <= 28
+
+
+def test_applicable_agrees_with_check_all():
+    rng = random.Random(101)
+    graphs = [Graph.from_edges(1, []), Graph.from_edges(3, [(0, 1)]), complete_graph(4)]
+    graphs += [random_connected_graph(rng.randint(2, 9), rng, extra=0.3) for _ in range(20)]
+    for g in graphs:
+        for k in (1, 3, 10):
+            for name, report in check_all(g, k):
+                reason = report if isinstance(report, str) else ""
+                assert applicable(g, name, k) == (not reason, reason)
 
 
 def test_check_tight_cases():

@@ -303,8 +303,16 @@ def test_certificate_parser_and_verifier_are_total(case):
         '{"anchors":[-Infinity],"assignment":[0],"connectors":[],"tree_edges":[],"weights":[]}',
         "[" * 100_000,
         '{"anchors":' + "[" * 100_000,
+        '{"anchors":[0],"assignment":[0],"connectors":[[[],[]]],"tree_edges":[],"weights":[]}',
     ],
-    ids=["overflow-assignment", "infinity-weight", "infinity-anchor", "deep-list", "deep-field"],
+    ids=[
+        "overflow-assignment",
+        "infinity-weight",
+        "infinity-anchor",
+        "deep-list",
+        "deep-field",
+        "list-connector-end",
+    ],
 )
 def test_certificate_parser_refuses_overflow_and_nesting(text):
     with pytest.raises(PreconditionError):

@@ -117,6 +117,15 @@ def test_sweep_validates():
         tightness_sweep("G", 2, 2, range(2, 9), max_subsets=10)
 
 
+def test_sweep_refuses_before_building(searches):
+    # the cap first bites at d = 38 (n = 41); no earlier row is computed
+    with pytest.raises(PreconditionError, match="d=38 needs 10660 subsets"):
+        tightness_sweep("G", 2, 3, range(20, 40), max_subsets=10_000)
+    with pytest.raises(PreconditionError, match="k=12 exceeds n=8 at d=3"):
+        tightness_sweep("H", 2, 12, range(3, 9))
+    assert searches == []
+
+
 def test_sweep_csv_format():
     rows = tightness_sweep("G", 2, 2, range(2, 5))
     text = sweep_csv(rows)
