@@ -17,8 +17,9 @@ from typing import Callable
 
 from .errors import PreconditionError
 from .graph import Graph, has_triangle, is_connected, is_tree, is_two_connected
-from .steiner import steiner_wiener
+from .steiner import _indices
 from .transforms import weighted_sw_bound
+from .weights import WeightFn
 
 __all__ = [
     "Bound",
@@ -205,15 +206,24 @@ def check(g: Graph, which: str, k: int = 2) -> BoundReport:
     return report
 
 
+def trivial_ceiling(n: int, k: int) -> int:
+    """(n - 1) * C(n, k): no k-subset of a connected n-vertex graph needs more
+    than the n - 1 edges of a spanning tree, so an upper bound on SW_k at or
+    above this is vacuous."""
+    return (n - 1) * comb(n, k)
+
+
 def check_all(g: Graph, k: int, names=BOUND_IDS) -> list[tuple[str, BoundReport | str]]:
     """`check` each named bound, in BOUND_IDS order: pairs (name, report),
     or (name, reason) for a bound that does not apply. Connectivity is
-    proved once, and each distinct index, SW_2 or SW_k, measured once for
-    the whole list."""
+    proved once, and every index the applicable bounds read, SW_2 or SW_k,
+    is measured by one engine call."""
     n = g.n
-    measured: dict[int, int] = {}
+    refusals = _refusals(g, k, [x for x in BOUND_IDS if x in names])
+    eff_k = {name: 2 if BOUNDS[name].pairs else k for name, why in refusals.items() if not why}
+    measured = _indices(g, WeightFn.uniform(n), set(eff_k.values()))
     out = []
-    for name, reason in _refusals(g, k, [x for x in BOUND_IDS if x in names]).items():
+    for name, reason in refusals.items():
         if reason:
             out.append((name, reason))
             continue
@@ -221,11 +231,8 @@ def check_all(g: Graph, k: int, names=BOUND_IDS) -> list[tuple[str, BoundReport 
         # lemma2 reads g as a unit-weight tree: total weight n, minimum weight 1
         known = {"n": n, "N": n, "C": 1, "k": k}
         params = {p: g.min_degree() if p == "delta" else known[p] for p in row.needs}
-        eff_k = 2 if row.pairs else k
-        if eff_k not in measured:
-            measured[eff_k] = steiner_wiener(g, eff_k)
-        value = Fraction(measured[eff_k])
-        ceiling = Fraction((n - 1) * comb(n, eff_k))
+        value = Fraction(measured[eff_k[name]])
+        ceiling = Fraction(trivial_ceiling(n, eff_k[name]))
         if row.average:
             value /= comb(n, k)
             ceiling /= comb(n, k)

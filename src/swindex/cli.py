@@ -25,7 +25,7 @@ from .construct import (
 from .errors import GraphFormatError, PreconditionError
 from .families import CLASSIC, LAYERED, check_sweep, classic, sweep_csv, tightness_sweep
 from .graph import Graph, format_edge_list, parse_edge_list
-from .steiner import avg_steiner_distance, steiner_wiener, steiner_wiener_weighted
+from .steiner import steiner_wiener_weighted
 from .weights import WeightFn, parse_weight_file
 
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_compute(args) -> int:
     try:
         g = _load_graph(args)
-        weights = None
+        weights = WeightFn.uniform(g.n)
         if args.weights is not None:
             weights = parse_weight_file(Path(args.weights).read_text(), g.n)
         elif args.uniform_weight is not None:
@@ -140,10 +140,6 @@ def cmd_compute(args) -> int:
     except PreconditionError as exc:
         _err(str(exc))
         return 2
-    if weights is None:
-        index = steiner_wiener if args.metric == "sw" else avg_steiner_distance
-        print(index(g, args.k))
-        return 0
     # raises PreconditionError unless 1 <= k <= weights.total
     sw = steiner_wiener_weighted(g, weights, args.k)
     print(sw if args.metric == "sw" else Fraction(sw, comb(weights.total, args.k)))

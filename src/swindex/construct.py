@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from math import comb
 
-from .bounds import BOUNDS, BoundReport
+from .bounds import BOUNDS, BoundReport, trivial_ceiling
 from .errors import PreconditionError
 from .graph import (
     Graph,
@@ -26,8 +25,7 @@ from .graph import (
     is_tree,
     norm_edge,
 )
-from .steiner import steiner_wiener_weighted_tree
-from .weights import WeightFn
+from .steiner import steiner_wiener
 
 __all__ = [
     "Certificate",
@@ -351,7 +349,7 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     # the triangle-free bound divides by delta, which is 0 only on a single
     # vertex: no edge to match, so edges_form_matching has already failed
     if packing or delta:
-        sw = steiner_wiener_weighted_tree(t, WeightFn.uniform(n), k)
+        sw = steiner_wiener(t, k)
         bound = "theorem4" if packing else "theorem5"
         rhs = BOUNDS[bound].rhs(n, delta, k)
         name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"
@@ -362,7 +360,7 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
                 rhs,
                 "le",
                 {"n": n, "delta": delta, "k": k},
-                vacuous=rhs >= (n - 1) * comb(n, k),
+                vacuous=rhs >= trivial_ceiling(n, k),
             )
         )
     return reports

@@ -7,7 +7,6 @@ the unreachable marker, never a sentinel integer.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, PreconditionError
@@ -166,26 +165,25 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
 
 
+def _branch(adj, root: int, nb: int) -> set[int]:
+    """Vertices of the branch hanging at root through its neighbor nb: nb
+    and everything reachable from it without passing through root."""
+    seen = {root, nb}
+    stack = [nb]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    seen.remove(root)
+    return seen
+
+
 def is_two_connected(g: Graph) -> bool:
-    """n >= 3, connected, and no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    for cut in range(g.n):
-        start = 0 if cut != 0 else 1
-        dist: list = [None] * g.n
-        dist[start] = 0
-        queue = deque([start])
-        reached = 1
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if v != cut and dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    reached += 1
-                    queue.append(v)
-        if reached != g.n - 1:
-            return False
-    return True
+    """n >= 3, and removing any one vertex leaves the others connected."""
+    return g.n >= 3 and all(
+        nbrs and len(_branch(g.adj, v, nbrs[0])) == g.n - 1 for v, nbrs in enumerate(g.adj)
+    )
 
 
 def has_triangle(g: Graph) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .errors import PreconditionError
 from .graph import Graph, all_pairs_distances, is_connected, is_tree
@@ -27,13 +27,12 @@ __all__ = [
 ]
 
 
-def _require_connected(g: Graph) -> bool:
-    """Raise unless g is non-empty and connected; return whether it is a tree."""
+def _require_connected(g: Graph) -> None:
+    """Raise unless g is non-empty and connected."""
     if g.n == 0:
         raise PreconditionError("graph has no vertices")
     if not is_connected(g):
         raise PreconditionError("graph is disconnected")
-    return g.m == g.n - 1
 
 
 def _preorder(t: Graph) -> tuple[list[int], list[int]]:
@@ -122,32 +121,53 @@ def steiner_distance(g: Graph, terminals) -> int:
     return _set_distance(all_pairs_distances(g), ts)
 
 
-def _require_k(k: int, upper: int, what: str) -> None:
-    if not 1 <= k <= upper:
-        raise PreconditionError(f"k={k} out of range 1..{upper} ({what})")
+def _require_k(k: int, total: int) -> None:
+    if not 1 <= k <= total:
+        raise PreconditionError(f"k={k} out of range 1..{total} (subset size vs total weight)")
 
 
 def steiner_wiener(g: Graph, k: int) -> int:
-    """Sum of Steiner distances over all k-subsets of vertices.
-
-    Trees go to the edge-cut formula, k = 2 to half the sum of the BFS rows,
-    and every other case to one shared-table enumeration.
-    """
-    tree = _require_connected(g)
-    _require_k(k, g.n, "subset size vs vertex count")
-    if k == 1:
-        return 0
-    if tree:
-        return _edge_cut_index(g, WeightFn.uniform(g.n), k)
-    dist = all_pairs_distances(g)
-    if k == 2:
-        return sum(map(sum, dist)) // 2
-    return sum(sum(values) for _, _, values in _subset_distances(dist, tuple(range(g.n)), k))
+    """Sum of Steiner distances over all k-subsets of vertices: the weighted
+    index with every weight 1."""
+    return steiner_wiener_weighted(g, 1, k)
 
 
 def avg_steiner_distance(g: Graph, k: int) -> Fraction:
     """Mean Steiner distance of a k-subset, as an exact fraction."""
     return Fraction(steiner_wiener(g, k), comb(g.n, k))
+
+
+def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
+    """Sum of d(S*) over all k-subsets of copies, S* the set of originals."""
+    c = as_weights(weights, g.n)
+    _require_connected(g)
+    _require_k(k, c.total)
+    return _indices(g, c, (k,))[k]
+
+
+def _indices(g: Graph, c: WeightFn, ks) -> dict[int, int]:
+    """SW_k^c(g) for each k in ks, from at most one distance matrix.
+
+    The one place that picks an algorithm. It needs g connected and every k
+    in 1..c.total. In order: k = 1 gives 0; a tree takes the edge-cut
+    formula; k = 2 sums c(u)·c(v)·d(u, v) over pairs, as the copies of u and
+    v form c(u)·c(v) pairs spanning both; 0/1 weights enumerate the
+    support's k-subsets; other weights go to the grouping.
+    """
+    out = dict.fromkeys(ks, 0)
+    rest = [k for k in out if k > 1]
+    if g.m == g.n - 1:
+        return out | {k: _edge_cut_index(g, c, k) for k in rest}
+    dist = all_pairs_distances(g) if rest else []
+    w = c.values()
+    for k in rest:
+        if k == 2:
+            out[k] = sum(cu * sum(map(mul, w, row)) for cu, row in zip(w, dist)) // 2
+        elif max(w) > 1:
+            out[k] = _grouped_index(dist, c, k)
+        else:
+            out[k] = sum(sum(values) for _, _, values in _subset_distances(dist, c.support(), k))
+    return out
 
 
 def _exact_multiplicity(c, originals: tuple[int, ...], k: int) -> int:
@@ -162,21 +182,10 @@ def _exact_multiplicity(c, originals: tuple[int, ...], k: int) -> int:
     return total
 
 
-def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
-    """Weighted index: the edge-cut formula on trees, grouping elsewhere."""
-    c = as_weights(weights, g.n)
-    tree = _require_connected(g)
-    _require_k(k, c.total, "subset size vs total weight")
-    if k == 1:
-        return 0
-    return _edge_cut_index(g, c, k) if tree else _grouped_index(g, c, k)
-
-
-def _grouped_index(g: Graph, c: WeightFn, k: int) -> int:
+def _grouped_index(dist: list[list[int]], c: WeightFn, k: int) -> int:
     """Every k-subset of copies with original set S* contributes d(S*), so
     group by S* and weigh by the exact count. Needs k >= 2."""
     support = c.support()
-    dist = all_pairs_distances(g)
     total = 0
     for size in range(2, min(k, len(support)) + 1):
         for base, roots, values in _subset_distances(dist, support, size):
@@ -195,7 +204,7 @@ def steiner_wiener_weighted_naive(g: Graph, weights, k: int) -> int:
     """
     c = as_weights(weights, g.n)
     _require_connected(g)
-    _require_k(k, c.total, "subset size vs total weight")
+    _require_k(k, c.total)
     copies = [v for v in range(g.n) for _ in range(c[v])]
     dist = all_pairs_distances(g)
     memo: dict = {}
@@ -217,7 +226,7 @@ def steiner_wiener_weighted_tree(t: Graph, weights, k: int) -> int:
     if not is_tree(t):
         raise PreconditionError("graph is not a tree")
     c = as_weights(weights, t.n)
-    _require_k(k, c.total, "subset size vs total weight")
+    _require_k(k, c.total)
     return _edge_cut_index(t, c, k)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-from .graph import Graph, is_tree
+from .graph import Graph, _branch, is_tree
 from .weights import as_weights
 
 __all__ = [
@@ -59,20 +59,6 @@ class BranchMove:
         w_side = frozenset(_branch(adj, self.u, self.w))
         moved = frozenset().union(*(_branch(adj, self.u, a) for a in self.branches))
         return frozenset(range(self.tree.n)) - w_side - moved, w_side, moved
-
-
-def _branch(adj, root: int, nb: int) -> set[int]:
-    """Vertices of the branch hanging at root through its neighbor nb: nb
-    and everything reachable from it without passing through root."""
-    seen = {root, nb}
-    stack = [nb]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    seen.remove(root)
-    return seen
 
 
 def relocate_branches(move: BranchMove) -> Graph:

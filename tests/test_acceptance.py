@@ -29,7 +29,7 @@ from swindex import (
     verify_certificate,
     weighted_sw_bound,
 )
-from swindex.graph import bfs_distances
+from swindex.graph import all_pairs_distances, bfs_distances
 from swindex.steiner import _grouped_index
 
 from ensembles import (
@@ -203,7 +203,7 @@ def test_09_oracle_equivalences():
         if w.total < 2:
             continue
         k = rng.randint(2, min(w.total, 4))
-        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(t, w, k)
+        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(all_pairs_distances(t), w, k)
         checked += 1
     # tree traversal vs general engine; pair case vs plain search
     for _ in range(150):

@@ -132,17 +132,18 @@ def test_verify_command(capsys, graph_file):
 
 def test_verify_measures_each_index_once(capsys, graph_file, monkeypatch):
     calls = []
-    measure = bounds.steiner_wiener
+    measure = bounds._indices
 
-    def counting(g, k):
-        calls.append(k)
-        return measure(g, k)
+    def counting(g, c, ks):
+        calls.append(sorted(ks))
+        return measure(g, c, ks)
 
-    monkeypatch.setattr(bounds, "steiner_wiener", counting)
+    monkeypatch.setattr(bounds, "_indices", counting)
     g = cycle_graph(8)
     code, out, _ = run(capsys, "verify", "--graph", graph_file(g), "--all", "--k", "4")
-    # eight bounds apply to C8 at k = 4; they read only SW_2 and SW_4
-    assert code == 0 and sorted(calls) == [2, 4]
+    # eight bounds apply to C8 at k = 4; they read only SW_2 and SW_4, and
+    # one engine call measures both
+    assert code == 0 and calls == [[2, 4]]
     names = [name for name in bounds.BOUND_IDS if bounds.applicable(g, name, 4)[0]]
     assert len(names) == 8
     assert out == "".join(f"{bounds.check(g, name, 4)}\n" for name in names)

@@ -92,6 +92,23 @@ def test_connectivity_predicates():
     assert not is_two_connected(path_graph(2))
 
 
+@given(st.integers(min_value=0, max_value=10), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_two_connected_matches_definition(n, pyrng):
+    # connected with n >= 3, and still connected after removing any vertex;
+    # the graphs may be disconnected or have isolated vertices
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, pyrng.sample(pairs, pyrng.randint(0, len(pairs))))
+
+    def without(x):
+        keep = [v for v in range(n) if v != x]
+        index = {v: i for i, v in enumerate(keep)}
+        return Graph.from_edges(n - 1, [(index[u], index[v]) for u, v in g.edges() if x not in (u, v)])
+
+    expected = n >= 3 and is_connected(g) and all(is_connected(without(x)) for x in range(n))
+    assert is_two_connected(g) == expected
+
+
 def test_diameter():
     assert diameter(path_graph(5)) == 4
     assert diameter(cycle_graph(6)) == 3

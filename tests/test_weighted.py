@@ -1,6 +1,10 @@
 import random
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swindex import (
     Graph,
@@ -17,8 +21,10 @@ from swindex import (
     steiner_wiener_weighted_naive,
     steiner_wiener_weighted_tree,
 )
+from swindex import steiner
 from swindex.cli import main
-from swindex.steiner import _grouped_index
+from swindex.graph import all_pairs_distances
+from swindex.steiner import _grouped_index, _indices
 
 from ensembles import random_connected_graph, random_tree, random_weights
 
@@ -101,7 +107,7 @@ def test_tree_fast_path_matches_grouped():
         k = rng.randint(2, min(w.total, 5))
         # the grouped engine itself: steiner_wiener_weighted sends trees to
         # the edge-cut formula
-        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(t, w, k)
+        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(all_pairs_distances(t), w, k)
         assert steiner_wiener_weighted(t, w, k) == steiner_wiener_weighted_tree(t, w, k)
         checked += 1
 
@@ -138,3 +144,28 @@ def test_trees_are_searched_once(monkeypatch, tmp_path, capsys):
         run()
         assert len(calls) == 1
     assert capsys.readouterr().out == f"{steiner_wiener_weighted_tree(t, 2, 3)}\n"
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    st.sampled_from([1, 3]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_dispatch_matches_copies_and_grouping(n, extra, top, rng):
+    # every branch of the one dispatcher against the copy-enumerating
+    # reference and the grouping; 0/1 weights must never reach the grouping
+    g = random_connected_graph(n, rng, extra)
+    c = random_weights(n, rng, lo=0, hi=top)
+    ks = range(2, min(c.total, 5) + 1)
+    if not ks:
+        return
+    guard = mock.patch.object(steiner, "_grouped_index", side_effect=AssertionError)
+    with guard if top == 1 else nullcontext():
+        got = _indices(g, c, set(ks))
+    dist = all_pairs_distances(g)
+    for k in ks:
+        expected = steiner_wiener_weighted_naive(g, c, k)
+        assert got[k] == expected == _grouped_index(dist, c, k), (g.edges(), c, k)
+        assert steiner_wiener_weighted(g, c, k) == expected
