@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable
 
 from .errors import PreconditionError
-from .graph import Graph, has_triangle, is_connected, is_tree, is_two_connected
+from .graph import Graph, has_triangle, is_connected, is_two_connected
 from .steiner import _indices
 from .transforms import weighted_sw_bound
 from .weights import WeightFn
@@ -105,6 +105,9 @@ def _triangle_free_rhs(n: int, delta: int, k: int) -> Fraction:
 
 _MIN_DEGREE = (lambda g: g.n >= 2 and g.min_degree() >= 1, "needs minimum degree >= 1")
 _TRIANGLE_FREE = (lambda g: not has_triangle(g), "graph contains a triangle")
+# requirements are read once g is proved connected, so its edge count
+# decides whether it is a tree
+_TREE = (lambda g: g.m == g.n - 1, "graph is not a tree")
 _THEOREM4 = Bound(_min_degree_rhs, ("n", "delta", "k"), requires=(_MIN_DEGREE,))
 _THEOREM5 = Bound(_triangle_free_rhs, ("n", "delta", "k"), requires=(_MIN_DEGREE, _TRIANGLE_FREE))
 
@@ -129,9 +132,7 @@ BOUNDS: dict[str, Bound] = {
         requires=(_MIN_DEGREE,),
     ),
     # largest weighted index of a tree with total weight N, minimum weight C
-    "lemma2": Bound(
-        weighted_sw_bound, ("N", "C", "k"), requires=((is_tree, "graph is not a tree"),)
-    ),
+    "lemma2": Bound(weighted_sw_bound, ("N", "C", "k"), requires=(_TREE,)),
     "theorem4": _THEOREM4,
     "corollary1": replace(_THEOREM4, average=True),
     "theorem5": _THEOREM5,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -37,14 +38,6 @@ def _family_graph(args) -> Graph:
     if args.family in LAYERED:
         return LAYERED[args.family].build(args.d, args.delta)
     return classic(args.family, args.size, args.size2)
-
-
-def _load_graph(args) -> Graph:
-    """Input phase: file parsing and family construction. Any error here
-    exits 2."""
-    if getattr(args, "graph", None):
-        return parse_edge_list(Path(args.graph).read_text())
-    return _family_graph(args)
 
 
 def _add_graph_source(sub, require: bool = True) -> None:
@@ -129,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_compute(args) -> int:
     try:
-        g = _load_graph(args)
+        # input phase: any error here, in the file or the family, exits 2
+        g = parse_edge_list(Path(args.graph).read_text()) if args.graph else _family_graph(args)
         weights = WeightFn.uniform(g.n)
         if args.weights is not None:
             weights = parse_weight_file(Path(args.weights).read_text(), g.n)
@@ -231,8 +225,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# main's parser, built once per process: parse_args leaves it unchanged,
+# and build_parser still hands every other caller a parser of its own
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

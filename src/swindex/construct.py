@@ -25,7 +25,8 @@ from .graph import (
     is_tree,
     norm_edge,
 )
-from .steiner import steiner_wiener
+from .steiner import _indices, _require_k
+from .weights import WeightFn
 
 __all__ = [
     "Certificate",
@@ -349,7 +350,9 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     # the triangle-free bound divides by delta, which is 0 only on a single
     # vertex: no edge to match, so edges_form_matching has already failed
     if packing or delta:
-        sw = steiner_wiener(t, k)
+        # t is a proved tree: the dispatcher needs no second search
+        _require_k(k, n)
+        sw = _indices(t, WeightFn.uniform(n), (k,))[k]
         bound = "theorem4" if packing else "theorem5"
         rhs = BOUNDS[bound].rhs(n, delta, k)
         name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"

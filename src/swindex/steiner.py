@@ -150,16 +150,20 @@ def _indices(g: Graph, c: WeightFn, ks) -> dict[int, int]:
 
     The one place that picks an algorithm. It needs g connected and every k
     in 1..c.total. In order: k = 1 gives 0; a tree takes the edge-cut
-    formula; k = 2 sums c(u)·c(v)·d(u, v) over pairs, as the copies of u and
-    v form c(u)·c(v) pairs spanning both; 0/1 weights enumerate the
-    support's k-subsets; other weights go to the grouping.
+    formula; 0/1 weights take the twin quotient when it is a tree; k = 2 sums
+    c(u)·c(v)·d(u, v) over pairs, as the copies of u and v form c(u)·c(v)
+    pairs spanning both; 0/1 weights enumerate the support's k-subsets;
+    other weights go to the grouping.
     """
     out = dict.fromkeys(ks, 0)
     rest = [k for k in out if k > 1]
     if g.m == g.n - 1:
         return out | {k: _edge_cut_index(g, c, k) for k in rest}
-    dist = all_pairs_distances(g) if rest else []
     w = c.values()
+    twins = rest and max(w) <= 1 and _twin_indices(g, c, rest)
+    if twins:
+        return out | twins
+    dist = all_pairs_distances(g) if rest else []
     for k in rest:
         if k == 2:
             out[k] = sum(cu * sum(map(mul, w, row)) for cu, row in zip(w, dist)) // 2
@@ -168,6 +172,46 @@ def _indices(g: Graph, c: WeightFn, ks) -> dict[int, int]:
         else:
             out[k] = sum(sum(values) for _, _, values in _subset_distances(dist, c.support(), k))
     return out
+
+
+def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None:
+    """SW_k^c for 0/1 weights c through the twin quotient Q, or None unless
+    Q is a tree, whose weighted index the edge-cut formula reads in linear
+    time.
+
+    Classes are the true twins (equal N[v]), then the false twins (equal
+    N(v)) among the rest; Q is induced on each class's lowest member. A k-set
+    meeting class c in j_c >= 1 vertices has d(S) = d_Q(S*) + sum(j_c - 1),
+    plus 1 inside one false-twin class. Summed, with a_c the weight-1 members
+    of c and N = c.total: SW_k = SW_k^a(Q) + k·C(N, k)
+    - sum_c [C(N, k) - C(N - a_c, k)] + sum_{false c} C(a_c, k).
+    """
+    closed: dict = {}
+    for v, nbrs in enumerate(g.adj):
+        closed.setdefault(tuple(sorted((v, *nbrs))), []).append(v)
+    opened: dict = {}
+    for v, *twins in closed.values():
+        if not twins:
+            opened.setdefault(g.adj[v], []).append(v)
+    classes = sorted([x for x in closed.values() if len(x) > 1] + list(opened.values()))
+    q, total = len(classes), c.total
+    if q == g.n:
+        return None
+    # classes are modules: a lowest member sees each class it touches
+    # through that class's lowest member, and pos keeps the tuples sorted
+    pos = {x[0]: i for i, x in enumerate(classes)}
+    quotient = Graph._trusted(q, [tuple(pos[u] for u in g.adj[x[0]] if u in pos) for x in classes])
+    if quotient.m != q - 1:
+        return None
+    a = WeightFn([c.weight_of(x) for x in classes])
+    false = [a_c for a_c, x in zip(a.values(), classes) if len(x) > 1 and x[1] not in g.adj[x[0]]]
+    return {
+        k: _edge_cut_index(quotient, a, k)
+        + k * comb(total, k)
+        - sum(comb(total, k) - comb(total - a_c, k) for a_c in a.values())
+        + sum(comb(a_c, k) for a_c in false)
+        for k in ks
+    }
 
 
 def _exact_multiplicity(c, originals: tuple[int, ...], k: int) -> int:

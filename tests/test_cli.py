@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from swindex import bounds, format_edge_list, parse_edge_list, path_graph, cycle_graph, complete_graph
-from swindex.cli import main
+from swindex.cli import _parser, build_parser, main
 from swindex.graph import MAX_VERTICES
 
 
@@ -228,3 +228,25 @@ def test_console_script_entry():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "10\n"
+
+
+def test_one_parser_serves_every_run(capsys, graph_file):
+    # the parser is built once per process; a usage error, a compute and a
+    # verify in a row each print what a fresh process prints
+    g = graph_file(cycle_graph(9))
+    runs = [
+        ["compute", "--graph", g, "--k", "x"],
+        ["compute", "--graph", g, "--k", "3", "--metric", "mu"],
+        ["verify", "--graph", g, "--all", "--k", "3"],
+    ]
+    got = [run(capsys, *argv) for argv in runs]
+    for argv, (code, out, err) in zip(runs, got):
+        proc = subprocess.run(
+            [sys.executable, "-m", "swindex.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert [code for code, _, _ in got] == [2, 0, 0]
+    assert "invalid int value: 'x'" in got[0][2] and got[1][1] == "111/28\n"
+    assert got[2][1].startswith("eq1 PASS")
+    # main shares one parser; build_parser hands every caller a new one
+    assert _parser() is _parser() and build_parser() is not _parser()

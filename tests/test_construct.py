@@ -147,6 +147,21 @@ def test_tampered_certificate_fails():
     assert all(r.passed for r in reports[1:]) and len(reports) == 9
 
 
+def test_verifier_searches_the_tree_once(searches):
+    # is_tree proves the certificate tree connected, and the index is read
+    # off the dispatcher's edge-cut branch without a second search; the other
+    # counted search links the anchor groups
+    g = random_connected_graph(60, random.Random(8), 0.1)
+    cert = packing_spanning_tree(g)
+    searches.clear()
+    reports = verify_certificate(cert, g, 3)
+    assert len(searches) == 2
+    assert all(r.passed for r in reports)
+    assert reports[-1].measured == steiner_wiener_weighted_tree(cert.tree, 1, 3)
+    with pytest.raises(PreconditionError, match="out of range"):
+        verify_certificate(cert, g, 61)
+
+
 def test_certificate_json_round_trip():
     g = path_graph(7)
     cert = packing_spanning_tree(g)
