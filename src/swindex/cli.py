@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
     except PreconditionError as exc:
         _err(str(exc))
         return 2
-    # what remains to refuse (k > n, the subset cap) exits 3
+    # what remains to refuse (k > n at some diameter) exits 3
     rows = tightness_sweep(args.family, args.delta, args.k, d_values)
     text = sweep_csv(rows)
     if args.out:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from operator import add, itemgetter, mul
 
 from .errors import PreconditionError
@@ -95,15 +95,19 @@ def _subset_distances(dist: list[list[int]], terminals: tuple[int, ...], size: i
 
     first = None
     for base in combinations(terminals[:-1], size - 1):
-        if base[0] != first:
+        if size > 3 and base[0] != first:
             # later bases start at base[0] or after, so rows of sets that
-            # start before it are never read again
+            # start before it are never read again (below size 4, only
+            # single vertices have rows)
             first = base[0]
             for x in [x for x in rows if type(x) is tuple and x[0] < first]:
                 del rows[x]
-        m = merged(base) if size > 2 else dist[base[0]]
         roots = terminals[pos[base[-1]] + 1 :]
-        yield base, roots, [min(map(add, m, dist[r])) for r in roots]
+        if size > 2:
+            m = merged(base)
+            yield base, roots, [min(map(add, m, dist[r])) for r in roots]
+        else:  # a pair's distance is its matrix entry
+            yield base, roots, list(map(dist[base[0]].__getitem__, roots))
 
 
 def _set_distance(dist: list[list[int]], terminals: tuple[int, ...]) -> int:
@@ -148,43 +152,35 @@ def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
 def _indices(g: Graph, c: WeightFn, ks) -> dict[int, int]:
     """SW_k^c(g) for each k in ks, from at most one distance matrix.
 
-    The one place that picks an algorithm. It needs g connected and every k
-    in 1..c.total. In order: k = 1 gives 0; a tree takes the edge-cut
-    formula; 0/1 weights take the twin quotient when it is a tree; k = 2 sums
-    c(u)·c(v)·d(u, v) over pairs, as the copies of u and v form c(u)·c(v)
-    pairs spanning both; 0/1 weights enumerate the support's k-subsets;
-    other weights go to the grouping.
+    The one place that picks an algorithm, by the graph's shape alone: no
+    branch reads the weights. It needs g connected and every k in
+    1..c.total. In order: k = 1 gives 0; a tree takes the edge-cut formula;
+    a graph whose twin quotient is a tree takes its closed form; everything
+    else goes to the grouped enumeration.
     """
     out = dict.fromkeys(ks, 0)
     rest = [k for k in out if k > 1]
-    if g.m == g.n - 1:
+    if not rest or g.m == g.n - 1:
         return out | {k: _edge_cut_index(g, c, k) for k in rest}
-    w = c.values()
-    twins = rest and max(w) <= 1 and _twin_indices(g, c, rest)
+    twins = _twin_indices(g, c, rest)
     if twins:
         return out | twins
-    dist = all_pairs_distances(g) if rest else []
-    for k in rest:
-        if k == 2:
-            out[k] = sum(cu * sum(map(mul, w, row)) for cu, row in zip(w, dist)) // 2
-        elif max(w) > 1:
-            out[k] = _grouped_index(dist, c, k)
-        else:
-            out[k] = sum(sum(values) for _, _, values in _subset_distances(dist, c.support(), k))
-    return out
+    dist = all_pairs_distances(g)
+    return out | {k: _grouped_index(dist, c, k) for k in rest}
 
 
 def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None:
-    """SW_k^c for 0/1 weights c through the twin quotient Q, or None unless
-    Q is a tree, whose weighted index the edge-cut formula reads in linear
-    time.
+    """SW_k^c through the twin quotient Q, or None unless Q is a tree, whose
+    weighted index the edge-cut formula reads in linear time.
 
     Classes are the true twins (equal N[v]), then the false twins (equal
-    N(v)) among the rest; Q is induced on each class's lowest member. A k-set
-    meeting class c in j_c >= 1 vertices has d(S) = d_Q(S*) + sum(j_c - 1),
-    plus 1 inside one false-twin class. Summed, with a_c the weight-1 members
-    of c and N = c.total: SW_k = SW_k^a(Q) + k·C(N, k)
-    - sum_c [C(N, k) - C(N - a_c, k)] + sum_{false c} C(a_c, k).
+    N(v)) among the rest; Q is induced on each class's lowest member. If the
+    originals S* of a k-set of copies meet class c in j_c >= 1 vertices,
+    d(S*) = d_Q(S*) + sum(j_c - 1), plus 1 when |S*| >= 2 lies in one false
+    class. C(N, k) - C(N - w_v, k) k-sets hold a copy of v, and
+    C(N, k) - C(N - a_c, k) meet c, where a_c sums the weights w_v over c and
+    N = c.total. Summed: SW_k = SW_k^a(Q) + (n - q)·C(N, k) - sum_v C(N - w_v, k)
+    + sum_c C(N - a_c, k) + sum_{false c} [C(a_c, k) - sum_{v in c} C(w_v, k)].
     """
     closed: dict = {}
     for v, nbrs in enumerate(g.adj):
@@ -204,12 +200,13 @@ def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None
     if quotient.m != q - 1:
         return None
     a = WeightFn([c.weight_of(x) for x in classes])
-    false = [a_c for a_c, x in zip(a.values(), classes) if len(x) > 1 and x[1] not in g.adj[x[0]]]
+    false = [(a_c, x) for a_c, x in zip(a.values(), classes) if len(x) > 1 and x[1] not in g.adj[x[0]]]
     return {
         k: _edge_cut_index(quotient, a, k)
-        + k * comb(total, k)
-        - sum(comb(total, k) - comb(total - a_c, k) for a_c in a.values())
-        + sum(comb(a_c, k) for a_c in false)
+        + (g.n - q) * comb(total, k)
+        - sum(comb(total - w_v, k) for w_v in c.values())
+        + sum(comb(total - a_c, k) for a_c in a.values())
+        + sum(comb(a_c, k) - sum(comb(c[v], k) for v in x) for a_c, x in false)
         for k in ks
     }
 
@@ -218,25 +215,31 @@ def _exact_multiplicity(c, originals: tuple[int, ...], k: int) -> int:
     """Number of k-subsets of copies whose original set is exactly `originals`
     (inclusion-exclusion over sub-collections)."""
     s = len(originals)
-    total = 0
-    for r in range(s + 1):
-        sign = 1 if (s - r) % 2 == 0 else -1
-        for sub in combinations(originals, r):
-            total += sign * comb(c.weight_of(sub), k)
-    return total
+    return sum((-1) ** (s - r) * comb(c.weight_of(sub), k)
+               for r in range(s + 1) for sub in combinations(originals, r))
 
 
 def _grouped_index(dist: list[list[int]], c: WeightFn, k: int) -> int:
     """Every k-subset of copies with original set S* contributes d(S*), so
-    group by S* and weigh by the exact count. Needs k >= 2."""
+    group by S* and weigh by its number of copy sets. Needs k >= 2. S* holds
+    k copies only if |S*| >= k / max c; at |S*| = k the count is the product
+    of the weights (1 for unit weights, where only this size occurs), below
+    it inclusion-exclusion."""
     support = c.support()
+    w = [c[v] for v in support]
+    top = max(w)
     total = 0
-    for size in range(2, min(k, len(support)) + 1):
+    for size in range(max(2, -(-k // top)), min(k, len(support)) + 1):
         for base, roots, values in _subset_distances(dist, support, size):
-            for r, d in zip(roots, values):
-                combo = base + (r,)
-                if c.weight_of(combo) >= k:
-                    total += _exact_multiplicity(c, combo, k) * d
+            if size < k:
+                for r, d in zip(roots, values):
+                    combo = base + (r,)
+                    if c.weight_of(combo) >= k:
+                        total += _exact_multiplicity(c, combo, k) * d
+            elif top == 1:
+                total += sum(values)
+            else:  # the roots are a suffix of the support
+                total += prod(map(c.__getitem__, base)) * sum(map(mul, w[-len(roots) :], values))
     return total
 
 

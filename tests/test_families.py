@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from swindex import (
     tightness_sweep,
     triangle_free_extremal,
 )
+from swindex import steiner
 
 
 def test_sequential_sum_examples():
@@ -113,17 +115,26 @@ def test_sweep_validates():
         tightness_sweep("G", 2, 1, range(2, 4))
     with pytest.raises(PreconditionError):
         tightness_sweep("X", 2, 2, range(2, 4))
-    with pytest.raises(PreconditionError):
-        tightness_sweep("G", 2, 2, range(2, 9), max_subsets=10)
 
 
 def test_sweep_refuses_before_building(searches):
-    # the cap first bites at d = 38 (n = 41); no earlier row is computed
-    with pytest.raises(PreconditionError, match="d=38 needs 10660 subsets"):
-        tightness_sweep("G", 2, 3, range(20, 40), max_subsets=10_000)
     with pytest.raises(PreconditionError, match="k=12 exceeds n=8 at d=3"):
         tightness_sweep("H", 2, 12, range(3, 9))
     assert searches == []
+
+
+def test_sweeps_never_enumerate():
+    # G and H have a path as twin quotient at every diameter, so a sweep
+    # reads each index in linear time: no distance matrix, no subset. The G
+    # sweep spans C(128, 4) + C(130, 4), about 2.2e7, 4-subsets.
+    with (
+        mock.patch.object(steiner, "_subset_distances", side_effect=AssertionError),
+        mock.patch.object(steiner, "all_pairs_distances", side_effect=AssertionError),
+    ):
+        rows = tightness_sweep("G", 5, 4, range(60, 62))
+        assert [r.n for r in rows] == [128, 130]
+        rows = tightness_sweep("H", 2, 4, range(200, 202))
+        assert [r.n for r in rows] == [205, 206]
 
 
 def test_sweep_csv_format():

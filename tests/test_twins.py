@@ -1,11 +1,12 @@
 """The twin quotient inside the Steiner dispatcher.
 
 Each true-twin class (equal closed neighbourhoods) and false-twin class
-(equal open neighbourhoods) is measured once, on the quotient Q, and three
-correction terms restore SW_k(G). The quotient is taken only when Q is a
-tree, which the edge-cut formula measures. These tests compare the dispatcher with
-the plain enumeration, `_subset_distances` over the support, and with the
-copy-enumerating `steiner_wiener_weighted_naive`, which reads no dispatch.
+(equal open neighbourhoods) is measured once, on the quotient Q, and
+correction terms restore SW_k(G) for any vertex weights. The quotient is
+taken only when Q is a tree, which the edge-cut formula measures. These
+tests compare the dispatcher with the plain 0/1 enumeration,
+`_subset_distances` over the support, and with the copy-enumerating
+`steiner_wiener_weighted_naive`, which reads no dispatch.
 """
 
 import random
@@ -58,10 +59,11 @@ def blow_up(base: Graph, sizes, false) -> Graph:
 @given(
     st.integers(min_value=1, max_value=6),
     st.sampled_from([0.0, 0.3, 0.7]),
+    st.sampled_from([1, 3]),
     st.randoms(use_true_random=False),
 )
-@settings(max_examples=100, deadline=None)
-def test_quotient_matches_plain_enumeration(b, extra, rng):
+@settings(max_examples=150, deadline=None)
+def test_quotient_matches_plain_enumeration(b, extra, top, rng):
     base = random_connected_graph(b, rng, extra)
     sizes = [1] * b
     # grow classes while the blow-up stays small enough for the copy oracle
@@ -69,17 +71,20 @@ def test_quotient_matches_plain_enumeration(b, extra, rng):
         sizes[rng.randrange(b)] += 1
     # a false class needs a neighbour outside it to stay connected
     g = blow_up(base, sizes, [bool(base.adj[i]) and rng.random() < 0.5 for i in range(b)])
-    c = WeightFn([int(rng.random() < 0.8) for _ in range(g.n)])
+    # weights 0..top, a fifth of them 0; the total is capped at 12 copies
+    w = [0 if rng.random() < 0.2 else rng.randint(1, top) for _ in range(g.n)]
+    while sum(w) > 12:
+        w[rng.randrange(g.n)] = 0
+    c = WeightFn(w)
     ks = range(2, min(c.total, 6) + 1)
     if not ks:
         return
     got = _indices(g, c, set(ks))
     for k in ks:
-        assert got[k] == plain(g, c, k) == steiner_wiener_weighted_naive(g, c, k), (
-            g.edges(),
-            c,
-            k,
-        )
+        expected = steiner_wiener_weighted_naive(g, c, k)
+        assert got[k] == expected, (g.edges(), c, k)
+        if top == 1:
+            assert expected == plain(g, c, k)
 
 
 G65 = min_degree_extremal(6, 5)
@@ -93,6 +98,9 @@ FIXED = [
     # zeros inside classes, and whole classes at 0: G's end layers
     pytest.param(complete_bipartite(3, 5), [1, 0, 1, 1, 1, 0, 1, 1], range(2, 7), id="K3,5-zeros"),
     pytest.param(G65, [0] * 6 + [1] * (G65.n - 12) + [0] * 6, range(2, 4), id="G(6,5)-zeros"),
+    # weights above 1, in true classes (G's layers) and false ones (K3,5's sides)
+    pytest.param(complete_bipartite(3, 5), [2, 0, 3, 1, 3, 0, 2, 1], range(2, 9), id="K3,5-weighted"),
+    pytest.param(G65, [1 + v % 3 for v in range(G65.n)], range(2, 5), id="G(6,5)-weighted"),
 ]
 
 
@@ -101,9 +109,13 @@ def test_quotient_on_fixed_graphs(g, weights, ks):
     # every Q here is a tree (a vertex, an edge or a path), so the quotient
     # runs no enumeration at all
     c = WeightFn(weights) if weights else WeightFn.uniform(g.n)
-    expected = {k: plain(g, c, k) for k in ks}
-    if g.n <= 8:
-        assert expected == {k: steiner_wiener_weighted_naive(g, c, k) for k in ks}
+    # the 0/1 enumeration where it applies, the copy oracle where it is small
+    weighted = max(c.values()) > 1
+    refs = [] if weighted else [plain]
+    if weighted or g.n <= 8:
+        refs.append(steiner_wiener_weighted_naive)
+    expected, *others = [{k: ref(g, c, k) for k in ks} for ref in refs]
+    assert all(other == expected for other in others)
     with mock.patch.object(steiner, "_subset_distances", side_effect=AssertionError):
         assert _indices(g, c, set(ks)) == expected
 
@@ -114,13 +126,12 @@ def one_twin_pair() -> Graph:
 
 
 def test_gate_keeps_a_single_twin_pair_on_the_plain_enumeration():
-    # Q is C13, no tree: the quotient is declined at every k, and the pair's
-    # weight 2 never reaches the grouping
+    # Q is C13, no tree: the quotient is declined at every k, and the
+    # enumeration measures the graph
     g = one_twin_pair()
     c = WeightFn.uniform(g.n)
-    with mock.patch.object(steiner, "_grouped_index", side_effect=AssertionError):
-        assert _indices(g, c, {2, 5}) == {2: plain(g, c, 2), 5: plain(g, c, 5)}
     assert _twin_indices(g, c, [2, 5]) is None
+    assert _indices(g, c, {2, 5}) == {2: plain(g, c, 2), 5: plain(g, c, 5)}
 
 
 def quotient_of(g: Graph, k: int) -> tuple[Graph, tuple]:

@@ -155,17 +155,19 @@ def test_trees_are_searched_once(monkeypatch, tmp_path, capsys):
 @settings(max_examples=80, deadline=None)
 def test_dispatch_matches_copies_and_grouping(n, extra, top, rng):
     # every branch of the one dispatcher against the copy-enumerating
-    # reference and the grouping; 0/1 weights must never reach the grouping
+    # reference and the grouping; with 0/1 weights every original set holds
+    # one copy per member, so inclusion-exclusion never runs
     g = random_connected_graph(n, rng, extra)
     c = random_weights(n, rng, lo=0, hi=top)
     ks = range(2, min(c.total, 5) + 1)
     if not ks:
         return
-    guard = mock.patch.object(steiner, "_grouped_index", side_effect=AssertionError)
+    dist = all_pairs_distances(g)
+    guard = mock.patch.object(steiner, "_exact_multiplicity", side_effect=AssertionError)
     with guard if top == 1 else nullcontext():
         got = _indices(g, c, set(ks))
-    dist = all_pairs_distances(g)
+        grouped = {k: _grouped_index(dist, c, k) for k in ks}
     for k in ks:
         expected = steiner_wiener_weighted_naive(g, c, k)
-        assert got[k] == expected == _grouped_index(dist, c, k), (g.edges(), c, k)
+        assert got[k] == expected == grouped[k], (g.edges(), c, k)
         assert steiner_wiener_weighted(g, c, k) == expected
