@@ -8,10 +8,13 @@ All arithmetic is exact (ints and fractions.Fraction).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, prod
 from operator import add, itemgetter, mul
+from struct import Struct, calcsize
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .graph import Graph, all_pairs_distances, is_connected, is_tree
@@ -35,22 +38,6 @@ def _require_connected(g: Graph) -> None:
         raise PreconditionError("graph is disconnected")
 
 
-def _preorder(t: Graph) -> tuple[list[int], list[int]]:
-    """Depth-first preorder of a tree from vertex 0, and each vertex's
-    parent (-1 at the root)."""
-    parent = [-1] * t.n
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in reversed(t.adj[u]):
-            if v != parent[u]:
-                parent[v] = u
-                stack.append(v)
-    return order, parent
-
-
 def _terminal_tuple(g: Graph, terminals) -> tuple[int, ...]:
     ts = sorted(set(terminals))
     if not ts:
@@ -60,17 +47,47 @@ def _terminal_tuple(g: Graph, terminals) -> tuple[int, ...]:
     return tuple(ts)
 
 
-def _subset_distances(dist: list[list[int]], terminals: tuple[int, ...], size: int):
-    """Dreyfus–Wagner over every size-subset of the sorted `terminals`.
+class _Packed(NamedTuple):
+    dist: list[list[int]]
+    rows: list[int]  # rows[v] holds dist[v][u] in lane u, lanes in sys.byteorder
+    code: str  # the struct (and memoryview) format of one lane
+    ones: int  # 1 in every lane
+
+
+def _pack(dist: list[list[int]], size: int) -> _Packed:
+    """Pack `dist` for sets of up to `size` vertices (size 1 packs as 2, so
+    every entry fits) in the narrowest lanes of W = 8, 16, 32 or 64 bits with
+    (size - 1)·D < 2^(W-1), D the largest entry; PreconditionError if none
+    fits. That suffices: s vertices have d <= (s - 1)·D. A lane-min operand is
+    a merge sum R(A) + R(X - A) <= |X|·D with |X| <= size - 1, or a closure
+    sum M(X)[u] + d(u, v) <= (|X| + 1)·D with |X| <= size - 2, so it is at
+    most (size - 1)·D and leaves its lane's guard bit clear; a root sum
+    M(base)[u] + d(u, r) <= size·D <= 2·(size - 1)·D < 2^W carries into no lane.
+    """
+    top = (max(size, 2) - 1) * max(map(max, dist))
+    code = next((x for x in "BHIQ" if top < 1 << (8 * calcsize(x) - 1)), None)
+    if code is None:
+        raise PreconditionError(f"Steiner distances up to {top} overflow 64-bit lanes")
+    pack_row = Struct(f"{len(dist)}{code}").pack
+    rows = [int.from_bytes(pack_row(*row), sys.byteorder) for row in [[1] * len(dist), *dist]]
+    return _Packed(dist, rows[1:], code, rows[0])
+
+
+def _subset_distances(packed: _Packed, terminals: tuple[int, ...], size: int):
+    """Dreyfus–Wagner over every size-subset of the sorted `terminals`, on a
+    matrix `_pack`ed for at least `size`.
 
     Yields (base, roots, values) for each (size-1)-subset `base` in
     lexicographic order, where roots are the terminals after base[-1] and
     values[i] = d(base + (roots[i],)). The closed row R(X)[v] = d(X + {v})
-    of each X with |X| <= size-2 is built once, from the rows of its
-    bipartitions, and dropped once no later base can contain X. All tables
-    belong to this call: O(C(|terminals|, size-2)) rows of len(dist) ints.
+    of each X with |X| <= size-2 is one packed int, built once from the rows
+    of its bipartitions, and dropped once no later base can contain X. All
+    tables belong to this call: O(C(|terminals|, size-2)) rows of n lanes.
     """
-    rows: dict = {t: dist[t] for t in terminals}
+    dist, prow, code, ones = packed
+    nbytes, shift = len(prow) * calcsize(code), 8 * calcsize(code) - 1
+    guard = ones << shift
+    rows: dict = {t: prow[t] for t in terminals}
     # bipartitions of an s-tuple as index getters, the first part holding
     # index 0; a one-index getter returns the bare vertex, the key of its row
     halves = {
@@ -80,17 +97,26 @@ def _subset_distances(dist: list[list[int]], terminals: tuple[int, ...], size: i
     }
     pos = {t: i for i, t in enumerate(terminals)}
 
-    def merged(x) -> list[int]:
-        # M(X)[v] = min over bipartitions (A, X-A) of R(A)[v] + R(X-A)[v]
-        sums = [map(add, closed(a(x)), closed(b(x))) for a, b in halves[len(x)]]
-        return list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
+    def lanes(x: int) -> memoryview:
+        return memoryview(x.to_bytes(nbytes, sys.byteorder)).cast(code)
 
-    def closed(x) -> list[int]:
+    def lane_min(sums) -> int:
+        # t marks the lanes where m >= s, and t - (t >> (W-1)) fills their low bits
+        m = next(sums)
+        for s in sums:
+            t = ((m | guard) - s) & guard
+            m ^= (m ^ s) & (t - (t >> shift))
+        return m
+
+    def merged(x) -> int:
+        # M(X) = lane-min over bipartitions (A, X-A) of R(A) + R(X-A)
+        return lane_min(closed(a(x)) + closed(b(x)) for a, b in halves[len(x)])
+
+    def closed(x) -> int:
         row = rows.get(x)
         if row is None:
-            # one relaxation through the metric closure: R(X)[v] = min_u M(X)[u] + d(u, v)
-            m = merged(x)
-            row = rows[x] = [min(map(add, m, dv)) for dv in dist]
+            # one relaxation through the metric closure: R(X) = lane-min over u of M(X)[u] + P[u]
+            row = rows[x] = lane_min(map(add, map(mul, lanes(merged(x)), repeat(ones)), prow))
         return row
 
     first = None
@@ -105,16 +131,16 @@ def _subset_distances(dist: list[list[int]], terminals: tuple[int, ...], size: i
         roots = terminals[pos[base[-1]] + 1 :]
         if size > 2:
             m = merged(base)
-            yield base, roots, [min(map(add, m, dist[r])) for r in roots]
+            yield base, roots, [min(lanes(m + prow[r])) for r in roots]
         else:  # a pair's distance is its matrix entry
             yield base, roots, list(map(dist[base[0]].__getitem__, roots))
 
 
-def _set_distance(dist: list[list[int]], terminals: tuple[int, ...]) -> int:
+def _set_distance(packed: _Packed, terminals: tuple[int, ...]) -> int:
     """d(S) of one sorted terminal tuple, through the same engine."""
     if len(terminals) == 1:
         return 0
-    ((_, _, (value,)),) = _subset_distances(dist, terminals, len(terminals))
+    ((_, _, (value,)),) = _subset_distances(packed, terminals, len(terminals))
     return value
 
 
@@ -122,7 +148,7 @@ def steiner_distance(g: Graph, terminals) -> int:
     """Fewest edges of a connected subgraph containing all terminals."""
     ts = _terminal_tuple(g, terminals)
     _require_connected(g)
-    return _set_distance(all_pairs_distances(g), ts)
+    return _set_distance(_pack(all_pairs_distances(g), len(ts)), ts)
 
 
 def _require_k(k: int, total: int) -> None:
@@ -229,8 +255,10 @@ def _grouped_index(dist: list[list[int]], c: WeightFn, k: int) -> int:
     w = [c[v] for v in support]
     top = max(w)
     total = 0
-    for size in range(max(2, -(-k // top)), min(k, len(support)) + 1):
-        for base, roots, values in _subset_distances(dist, support, size):
+    largest = min(k, len(support))
+    packed = _pack(dist, largest)
+    for size in range(max(2, -(-k // top)), largest + 1):
+        for base, roots, values in _subset_distances(packed, support, size):
             if size < k:
                 for r, d in zip(roots, values):
                     combo = base + (r,)
@@ -253,18 +281,14 @@ def steiner_wiener_weighted_naive(g: Graph, weights, k: int) -> int:
     _require_connected(g)
     _require_k(k, c.total)
     copies = [v for v in range(g.n) for _ in range(c[v])]
-    dist = all_pairs_distances(g)
+    packed = _pack(all_pairs_distances(g), min(k, g.n))
     memo: dict = {}
     total = 0
-    for combo in combinations(range(len(copies)), k):
-        originals = frozenset(copies[i] for i in combo)
-        if len(originals) == 1:
-            continue
-        d = memo.get(originals)
-        if d is None:
-            d = _set_distance(dist, tuple(sorted(originals)))
-            memo[originals] = d
-        total += d
+    for combo in combinations(copies, k):
+        originals = tuple(dict.fromkeys(combo))  # copies are sorted, so combo is too
+        if originals not in memo:
+            memo[originals] = _set_distance(packed, originals)
+        total += memo[originals]
     return total
 
 
@@ -280,16 +304,17 @@ def steiner_wiener_weighted_tree(t: Graph, weights, k: int) -> int:
 def _edge_cut_index(t: Graph, c: WeightFn, k: int) -> int:
     """An edge of tree t lies in the minimal subtree of a copy-set exactly
     when both sides hold a copy, so sum per-edge cut counts."""
-    order, parent = _preorder(t)
-    side = [c[v] for v in range(t.n)]
-    for u in reversed(order):
-        p = parent[u]
-        if p >= 0:
-            side[p] += side[u]
-    total_count = comb(c.total, k)
-    result = 0
-    for v in range(t.n):
-        if parent[v] >= 0:
-            a = side[v]
-            result += total_count - comb(a, k) - comb(c.total - a, k)
-    return result
+    parent, order, stack = [-1] * t.n, [], [0]
+    while stack:  # depth-first from vertex 0
+        u = stack.pop()
+        order.append(u)
+        for v in t.adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                stack.append(v)
+    side = list(c.values())
+    for u in reversed(order[1:]):
+        side[parent[u]] += side[u]
+    total, sets = c.total, comb(c.total, k)
+    # each vertex but the root 0 is the lower end of one edge
+    return sum(sets - comb(a, k) - comb(total - a, k) for a in side[1:])

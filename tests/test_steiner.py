@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -57,7 +57,8 @@ def _induced_connected(g: Graph, ys) -> bool:
 
 
 def steiner_per_subset(dist: list[list[int]], terminals: tuple[int, ...]) -> int:
-    """Reference: a fresh Dreyfus–Wagner program for one terminal set.
+    """Reference: a fresh Dreyfus–Wagner program for one terminal set, on any
+    metric `dist` (a graph's BFS rows or shortest paths under edge weights).
 
     States are (terminal-subset mask, vertex); each composite subset merges
     complementary sub-subsets at a vertex and then relaxes once through the
@@ -78,7 +79,7 @@ def steiner_per_subset(dist: list[list[int]], terminals: tuple[int, ...]) -> int
         if table[mask] is not None:
             continue
         low = mask & -mask
-        merged = [n * s] * n
+        merged = [inf] * n
         sub = (mask - 1) & mask
         while sub:
             if sub & low:

@@ -28,7 +28,7 @@ from swindex import (
 )
 from swindex import steiner
 from swindex.graph import all_pairs_distances
-from swindex.steiner import _indices, _subset_distances, _twin_indices
+from swindex.steiner import _indices, _pack, _subset_distances, _twin_indices
 
 from ensembles import random_connected_graph
 
@@ -36,7 +36,7 @@ from ensembles import random_connected_graph
 def plain(g: Graph, c: WeightFn, k: int) -> int:
     """The 0/1-weight index by one enumeration over the support."""
     dist = all_pairs_distances(g)
-    return sum(sum(values) for _, _, values in _subset_distances(dist, c.support(), k))
+    return sum(sum(values) for _, _, values in _subset_distances(_pack(dist, k), c.support(), k))
 
 
 def blow_up(base: Graph, sizes, false) -> Graph:
