@@ -151,7 +151,7 @@ def all_pairs_distances(g: Graph) -> list:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    return sum(1 for d in bfs_distances(g, 0) if d is not None) == g.n
+    return None not in bfs_distances(g, 0)
 
 
 def diameter(g: Graph) -> int:

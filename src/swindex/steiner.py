@@ -17,7 +17,7 @@ from struct import Struct, calcsize
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .graph import Graph, all_pairs_distances, is_connected, is_tree
+from .graph import Graph, all_pairs_distances, bfs_distances, is_connected, is_tree
 from .weights import WeightFn, as_weights
 
 __all__ = [
@@ -147,7 +147,11 @@ def _set_distance(packed: _Packed, terminals: tuple[int, ...]) -> int:
 def steiner_distance(g: Graph, terminals) -> int:
     """Fewest edges of a connected subgraph containing all terminals."""
     ts = _terminal_tuple(g, terminals)
-    _require_connected(g)
+    dist = bfs_distances(g, ts[0])  # proves g connected, and answers one or two terminals
+    if None in dist:
+        raise PreconditionError("graph is disconnected")
+    if len(ts) <= 2:
+        return dist[ts[-1]]
     return _set_distance(_pack(all_pairs_distances(g), len(ts)), ts)
 
 

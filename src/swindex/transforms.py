@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-from .graph import Graph, _branch, is_tree
+from .graph import Graph, _branch, bfs_distances, is_tree
 from .weights import as_weights
 
 __all__ = [
@@ -110,34 +110,60 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     a move raises the index by c(X) * (c(U) - c(W)) >= 1, and
     weighted_sw_bound(N, C, 2) caps that index. Each tree is proved a tree
     once: as the host of its move, or here. Returns the path and the trace.
+
+    Branches are read, not walked: rooted at vertex 0, the tree keeps parent,
+    sub (subtree weight) and low (lowest id below) across moves. At pivot p,
+    child x gives the branch (sub[x], low[x]) and the parent (total - sub[p],
+    0), as it holds the root. Moved roots hang under w; if p's parent moved,
+    w takes it and p hangs under w. Then (sub, low) of the lower of p and w,
+    then of the other, is recomputed from its children: O(deg p + deg w).
     """
     if not is_tree(tree):
         raise PreconditionError("input is not a tree")
     c = as_weights(weights, tree.n)
-    for v in range(tree.n):
-        if c[v] < 1:
-            raise PreconditionError("straightening requires weights >= 1")
+    if c.min_weight() < 1:
+        raise PreconditionError("straightening requires weights >= 1")
     if not 1 <= k <= c.total:
         raise PreconditionError(f"k={k} out of range 1..{c.total}")
-    t = tree
-    trace: list[BranchMove] = []
-    while True:
-        pivot = next((v for v in range(t.n) if len(t.adj[v]) >= 3), None)
-        if pivot is None:
-            if not is_tree(t):
-                raise AssertionError("straightening did not end in a tree")
-            return t, trace
-        comps = []
-        for nb in t.adj[pivot]:
-            branch = _branch(t.adj, pivot, nb)
-            comps.append((-c.weight_of(branch), min(branch), nb))
+    t, trace = tree, []
+    depth = bfs_distances(t, 0)
+    parent = [min(nbrs, key=depth.__getitem__) if v else -1 for v, nbrs in enumerate(t.adj)]
+    sub, low = [0] * t.n, [0] * t.n
+
+    def settle(v: int) -> None:
+        kids = [x for x in t.adj[v] if x != parent[v]]
+        sub[v] = c[v] + sum(sub[x] for x in kids)
+        low[v] = min([v, *(low[x] for x in kids)])
+
+    for v in sorted(range(t.n), key=depth.__getitem__, reverse=True):
+        settle(v)
+    hubs = {v for v in range(t.n) if len(t.adj[v]) >= 3}
+    while hubs:
+        pivot = min(hubs)
+        up = parent[pivot]
+        comps = [(sub[pivot] - c.total, 0, x) if x == up else (-sub[x], low[x], x)
+                 for x in t.adj[pivot]]
+        if c[pivot] - sum(cw for cw, _, _ in comps) != c.total:
+            raise AssertionError("straightening lost track of the branch weights")
         comps.sort()
         second, lightest = -comps[-2][0], -comps[-1][0]
         if c[pivot] + second <= lightest:
             raise AssertionError("straightening move would not keep the heavier side")
-        move = BranchMove(t, pivot, comps[-1][2], frozenset(nb for _, _, nb in comps[:-2]))
+        w = comps[-1][2]
+        move = BranchMove(t, pivot, w, frozenset(nb for _, _, nb in comps[:-2]))
         t = relocate_branches(move)
         trace.append(move)
+        for a in move.branches - {up}:
+            parent[a] = w
+        if up in move.branches:
+            parent[w], parent[pivot] = up, w
+        for v in (pivot, w) if parent[pivot] == w else (w, pivot):
+            settle(v)
+        hubs -= {pivot, w}
+        hubs.update(v for v in (pivot, w) if len(t.adj[v]) >= 3)
+    if not is_tree(t):
+        raise AssertionError("straightening did not end in a tree")
+    return t, trace
 
 
 def weighted_sw_bound(total_weight: int, min_weight: int, k: int) -> Fraction:

@@ -7,9 +7,13 @@ Input files live inside the corpus, so a change to the graph families does
 not change what is replayed. An argv token `@name` stands for the file
 `name` in a scratch directory (`@out` is where `--out` writes).
 
+`--check` also replays the recorded straightenings of
+`straighten_traces.json` (tree, weights, k, the `moves_to_json` trace and
+the final path's edges), which have no CLI verb.
+
 Needs only the standard library, so any supported Python can replay it:
 
-    PYTHONPATH=src python tests/golden.py --check   # list mismatches, exit 1 on any
+    PYTHONPATH=src python tests/golden.py --check   # list mismatches (cases and traces), exit 1 on any
     PYTHONPATH=src python tests/golden.py --write   # re-record after an intended change
 """
 
@@ -21,10 +25,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from swindex import Graph, moves_to_json, straighten_to_path
 from swindex.cli import main
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 DATA = json.loads(CORPUS.read_text())
+TRACES = json.loads(Path(__file__).with_name("straighten_traces.json").read_text())
 KEYS = ("exit", "stdout", "stderr", "out")
 
 
@@ -61,6 +67,18 @@ def check() -> list[str]:
         return [case["id"] for case in DATA["cases"] if replay(case, Path(tmp)) != expected(case)]
 
 
+def check_traces() -> list[int]:
+    """Straighten every recorded tree; the indices of the traces or final
+    paths that differ from the recording."""
+    bad = []
+    for i, case in enumerate(TRACES):
+        tree = Graph.from_edges(case["n"], case["edges"])
+        out, trace = straighten_to_path(tree, case["weights"], case["k"])
+        if moves_to_json(trace) != case["moves"] or out.edges() != [tuple(e) for e in case["path"]]:
+            bad.append(i)
+    return bad
+
+
 def write() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for case in DATA["cases"]:
@@ -75,10 +93,14 @@ if __name__ == "__main__":
         write()
     elif sys.argv[1:] == ["--check"]:
         bad = check()
-        print(f"{len(DATA['cases']) - len(bad)}/{len(DATA['cases'])} cases match "
+        bad_traces = check_traces()
+        print(f"{len(DATA['cases']) - len(bad)}/{len(DATA['cases'])} cases and "
+              f"{len(TRACES) - len(bad_traces)}/{len(TRACES)} traces match "
               f"(Python {sys.version.split()[0]})")
         for case_id in bad:
             print(f"MISMATCH {case_id}")
-        sys.exit(1 if bad else 0)
+        for i in bad_traces:
+            print(f"MISMATCH trace {i}")
+        sys.exit(1 if bad or bad_traces else 0)
     else:
         sys.exit("usage: golden.py --check | --write")

@@ -4,13 +4,23 @@ None of these is used by the library itself: the power and line graphs spell
 out the conditions the certificate verifier reads off labelled searches, the
 tree Steiner distance checks the general engine on trees, the two spanning-tree
 constructors are written out loop by loop as a check on the shared star-forest
-grower, and the rest are small distance helpers written the obvious way.
+grower, straightening by walks re-derives every branch of every move from the
+tree itself, and the rest are small distance helpers written the obvious way.
 """
 
 from collections import deque
 
-from swindex import Certificate, Graph, PreconditionError, bfs_distances, is_tree
-from swindex.graph import bfs_nearest, has_triangle, is_connected, norm_edge
+from swindex import (
+    BranchMove,
+    Certificate,
+    Graph,
+    PreconditionError,
+    as_weights,
+    bfs_distances,
+    is_tree,
+    relocate_branches,
+)
+from swindex.graph import _branch, bfs_nearest, has_triangle, is_connected, norm_edge
 
 
 def bfs_from_set(g: Graph, sources) -> list:
@@ -256,3 +266,36 @@ def matching_spanning_tree_reference(g: Graph, start_edge=None) -> Certificate:
     if tree_dist != dist_set:
         raise AssertionError("attachment failed to preserve distances to the matching")
     return _certificate(tree, matching, matched, connectors, assignment)
+
+
+def straighten_by_walks(tree: Graph, weights, k: int) -> tuple[Graph, list[BranchMove]]:
+    """straighten_to_path with every branch at the pivot walked afresh and
+    the pivot found by a scan of all vertices, as the library did before it
+    kept rooted subtree weights across moves."""
+    if not is_tree(tree):
+        raise PreconditionError("input is not a tree")
+    c = as_weights(weights, tree.n)
+    for v in range(tree.n):
+        if c[v] < 1:
+            raise PreconditionError("straightening requires weights >= 1")
+    if not 1 <= k <= c.total:
+        raise PreconditionError(f"k={k} out of range 1..{c.total}")
+    t = tree
+    trace: list[BranchMove] = []
+    while True:
+        pivot = next((v for v in range(t.n) if len(t.adj[v]) >= 3), None)
+        if pivot is None:
+            if not is_tree(t):
+                raise AssertionError("straightening did not end in a tree")
+            return t, trace
+        comps = []
+        for nb in t.adj[pivot]:
+            branch = _branch(t.adj, pivot, nb)
+            comps.append((-c.weight_of(branch), min(branch), nb))
+        comps.sort()
+        second, lightest = -comps[-2][0], -comps[-1][0]
+        if c[pivot] + second <= lightest:
+            raise AssertionError("straightening move would not keep the heavier side")
+        move = BranchMove(t, pivot, comps[-1][2], frozenset(nb for _, _, nb in comps[:-2]))
+        t = relocate_branches(move)
+        trace.append(move)

@@ -20,7 +20,8 @@ from swindex import (
     steiner_wiener_weighted,
     steiner_wiener_weighted_naive,
 )
-from swindex.steiner import _grouped_index
+from swindex.graph import all_pairs_distances
+from swindex.steiner import _grouped_index, _pack, _set_distance
 
 from ensembles import random_connected_graph, random_tree, random_weights
 from oracles import steiner_distance_tree
@@ -142,6 +143,23 @@ def test_steiner_distance_validates():
         steiner_distance(path_graph(3), (5,))
     with pytest.raises(PreconditionError):
         steiner_distance(Graph.from_edges(3, [(0, 1)]), (0, 2))
+
+
+def test_one_or_two_terminals_take_one_search(searches):
+    # the search that proves the graph connected answers one or two
+    # terminals, with the engine's value on the packed matrix
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        g = random_connected_graph(n, rng, extra=rng.choice((0.1, 0.4)))
+        packed = _pack(all_pairs_distances(g), 2)
+        for size in (1, 2):
+            ts = tuple(sorted(rng.sample(range(n), min(size, n))))
+            searches.clear()
+            assert steiner_distance(g, ts) == _set_distance(packed, ts)
+            assert len(searches) == 1
+    with pytest.raises(PreconditionError, match="disconnected"):
+        steiner_distance(Graph.from_edges(3, [(0, 1)]), (1,))
 
 
 def test_steiner_wiener_examples():

@@ -1,9 +1,10 @@
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swindex import (
     BranchMove,
@@ -24,11 +25,8 @@ from swindex import (
 )
 
 from ensembles import random_tree, random_weights
-
-# Straightenings recorded with the earlier, move-budget implementation of
-# straighten_to_path, on seeded trees it finished: the input tree, weights
-# and k, the moves_to_json trace and the final path's edges.
-TRACES = json.loads(Path(__file__).with_name("straighten_traces.json").read_text())
+from golden import check_traces
+from oracles import straighten_by_walks
 
 
 def caterpillar_with_bundles() -> Graph:
@@ -229,11 +227,10 @@ def test_straighten_random_trees():
 
 
 def test_straighten_traces_match_recording():
-    for case in TRACES:
-        tree = Graph.from_edges(case["n"], case["edges"])
-        out, trace = straighten_to_path(tree, case["weights"], case["k"])
-        assert moves_to_json(trace) == case["moves"]
-        assert out.edges() == [tuple(e) for e in case["path"]]
+    # straightenings recorded with the earlier, move-budget implementation
+    # of straighten_to_path, on seeded trees it finished: the input tree,
+    # weights and k, the moves_to_json trace and the final path's edges
+    assert check_traces() == []
 
 
 def test_straighten_terminates_by_pair_index():
@@ -263,10 +260,14 @@ def test_straighten_terminates_by_pair_index():
 
 def test_straighten_proves_each_tree_once(monkeypatch):
     # one tree proof per move (its host) plus the input check and the final
-    # path, however long the trace
+    # path, however long the trace, and no branch walk: branch weights come
+    # from the rooted bookkeeping
     calls = []
+    walks = []
     real = transforms.is_tree
+    real_branch = transforms._branch
     monkeypatch.setattr(transforms, "is_tree", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(transforms, "_branch", lambda *a: walks.append(a) or real_branch(*a))
     rng = random.Random(29)
     for n in (2, 4, 60, 200):
         t = random_tree(n, rng)
@@ -276,6 +277,47 @@ def test_straighten_proves_each_tree_once(monkeypatch):
         assert len(calls) == len(trace) + 2
         assert calls[-1] is out
     assert len(trace) > 100
+    assert walks == []
+
+
+@st.composite
+def shaped_trees(draw):
+    """A relabelled tree on 2..80 vertices: random (vertex i hangs under
+    one of 0..i-1), a spider (legs at one centre) or a caterpillar (leaves on
+    a spine). The relabelling puts vertex 0, the root of the bookkeeping,
+    anywhere, so pivots meet moves that carry their parent's branch."""
+    shape = draw(st.sampled_from(["random", "spider", "caterpillar"]))
+    if shape == "random":
+        n = draw(st.integers(2, 80))
+        picks = draw(st.lists(st.integers(0, 10**6), min_size=n - 1, max_size=n - 1))
+        edges = [(i, x % i) for i, x in enumerate(picks, start=1)]
+    elif shape == "spider":
+        edges, n = [], 1
+        for length in draw(st.lists(st.integers(1, 8), min_size=3, max_size=9)):
+            edges += [(n + j - 1 if j else 0, n + j) for j in range(length)]
+            n += length
+    else:
+        hairs = draw(st.lists(st.integers(0, 4), min_size=2, max_size=14))
+        edges, n = [(i, i + 1) for i in range(len(hairs) - 1)], len(hairs)
+        for i, h in enumerate(hairs):
+            edges += [(i, n + j) for j in range(h)]
+            n += h
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[a], label[b]) for a, b in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_trees(), st.booleans(), st.integers(2, 5), st.data())
+def test_straighten_matches_walks(t, unit, k, data):
+    # all-1 weights tie branches, so the lowest id (0 on the parent side)
+    # decides; weights 1..3 test the subtree sums
+    hi = 1 if unit else 3
+    weights = data.draw(st.lists(st.integers(1, hi), min_size=t.n, max_size=t.n))
+    k = min(k, t.n)
+    out, trace = straighten_to_path(t, weights, k)
+    ref_out, ref_trace = straighten_by_walks(t, weights, k)
+    assert moves_to_json(trace) == moves_to_json(ref_trace)
+    assert out.edges() == ref_out.edges()
 
 
 def test_straighten_needs_more_moves_than_vertices():
