@@ -97,19 +97,13 @@ def sequential_sum(parts) -> Graph:
         raise PreconditionError("sequential sum needs at least one part")
     if any(p.n == 0 for p in parts):
         raise PreconditionError("sequential sum parts must be non-empty")
-    offsets = []
-    total = 0
-    edges = []
-    for p in parts:
-        offsets.append(total)
-        edges.extend((u + total, v + total) for u, v in p.edges())
-        total += p.n
-    for i in range(len(parts) - 1):
-        lo = offsets[i]
-        mid = lo + parts[i].n
-        hi = mid + parts[i + 1].n
-        edges.extend((a, b) for a in range(lo, mid) for b in range(mid, hi))
-    return Graph.from_edges(total, edges)
+    edges, lo = [], 0
+    for p, nxt in zip(parts, [*parts[1:], empty_graph(0)]):
+        mid = lo + p.n
+        edges.extend((u + lo, v + lo) for u, v in p.edges())
+        edges.extend((a, b) for a in range(lo, mid) for b in range(mid, mid + nxt.n))
+        lo = mid
+    return Graph.from_edges(lo, edges)
 
 
 def min_degree_extremal(d: int, delta: int) -> Graph:

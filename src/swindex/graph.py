@@ -154,11 +154,46 @@ def is_connected(g: Graph) -> bool:
     return None not in bfs_distances(g, 0)
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of g, each a sorted list, sorted by lowest member:
+    the true twins (equal N[v]), then the false twins (equal N(v)) among
+    the vertices with no true twin. Every vertex is in exactly one class."""
+    closed: dict = {}
+    for v, nbrs in enumerate(g.adj):
+        closed.setdefault(tuple(sorted((v, *nbrs))), []).append(v)
+    opened: dict = {}
+    for v, *twins in closed.values():
+        if not twins:
+            opened.setdefault(g.adj[v], []).append(v)
+    return sorted([x for x in closed.values() if len(x) > 1] + list(opened.values()))
+
+
+def twin_quotient(g: Graph, classes) -> Graph:
+    """Q, induced on the lowest members of the `twin_classes` of g: classes
+    are modules, so a lowest member sees each class it touches."""
+    pos = {x[0]: i for i, x in enumerate(classes)}
+    return Graph._trusted(len(classes), [tuple(pos[u] for u in g.adj[x[0]] if u in pos) for x in classes])
+
+
 def diameter(g: Graph) -> int:
-    """Largest hop distance over all pairs; requires a connected graph."""
+    """Largest hop distance over all pairs; requires a connected graph.
+
+    Read off the twin quotient Q. Each class is a module, so members of two
+    classes are exactly as far apart as their classes in Q (a path projects
+    to a walk in Q, and a path in Q lifts to g). Two members of one class are
+    1 apart (true twins) or 2 (false twins: not adjacent, and g connected
+    gives them a common neighbour). So diam g = max(inner, diam Q). On a tree
+    a vertex farthest from any vertex ends a longest path, so two searches
+    give diam Q; otherwise it takes one search per vertex of Q."""
     if g.n == 0 or not is_connected(g):
         raise PreconditionError("diameter needs a non-empty connected graph")
-    return max(d for u in range(g.n) for d in bfs_distances(g, u))
+    classes = twin_classes(g)
+    q = twin_quotient(g, classes)
+    inner = max((1 if x[1] in g.adj[x[0]] else 2 for x in classes if len(x) > 1), default=0)
+    if q.m == q.n - 1:
+        dist = bfs_distances(q, 0)
+        return max(inner, *bfs_distances(q, dist.index(max(dist))))
+    return max(inner, *(max(bfs_distances(q, u)) for u in range(q.n)))
 
 
 def is_tree(g: Graph) -> bool:

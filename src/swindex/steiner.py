@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, repeat
 from math import comb, prod
 from operator import add, itemgetter, mul
@@ -18,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .graph import Graph, all_pairs_distances, bfs_distances, is_connected, is_tree
+from .graph import twin_classes, twin_quotient
 from .weights import WeightFn, as_weights
 
 __all__ = [
@@ -73,6 +75,14 @@ def _pack(dist: list[list[int]], size: int) -> _Packed:
     return _Packed(dist, rows[1:], code, rows[0])
 
 
+@cache
+def _halves(s: int) -> tuple:
+    """Bipartitions of an s-tuple as index getters, the first part holding index 0
+    (a one-index getter returns the bare vertex, the key of its row); kept per s."""
+    return tuple((itemgetter(0, *a), itemgetter(*(i for i in range(1, s) if i not in a)))
+                 for r in range(s - 1) for a in combinations(range(1, s), r))
+
+
 def _subset_distances(packed: _Packed, terminals: tuple[int, ...], size: int):
     """Dreyfus–Wagner over every size-subset of the sorted `terminals`, on a
     matrix `_pack`ed for at least `size`.
@@ -88,13 +98,7 @@ def _subset_distances(packed: _Packed, terminals: tuple[int, ...], size: int):
     nbytes, shift = len(prow) * calcsize(code), 8 * calcsize(code) - 1
     guard = ones << shift
     rows: dict = {t: prow[t] for t in terminals}
-    # bipartitions of an s-tuple as index getters, the first part holding
-    # index 0; a one-index getter returns the bare vertex, the key of its row
-    halves = {
-        s: [(itemgetter(0, *a), itemgetter(*(i for i in range(1, s) if i not in a)))
-            for r in range(s - 1) for a in combinations(range(1, s), r)]
-        for s in range(2, size)
-    }
+    halves = {s: _halves(s) for s in range(2, size)}
     pos = {t: i for i, t in enumerate(terminals)}
 
     def lanes(x: int) -> memoryview:
@@ -180,7 +184,8 @@ def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
 
 
 def _indices(g: Graph, c: WeightFn, ks) -> dict[int, int]:
-    """SW_k^c(g) for each k in ks, from at most one distance matrix.
+    """SW_k^c(g) for each k in ks, from at most one distance matrix,
+    packed once for the largest k.
 
     The one place that picks an algorithm, by the graph's shape alone: no
     branch reads the weights. It needs g connected and every k in
@@ -195,16 +200,15 @@ def _indices(g: Graph, c: WeightFn, ks) -> dict[int, int]:
     twins = _twin_indices(g, c, rest)
     if twins:
         return out | twins
-    dist = all_pairs_distances(g)
-    return out | {k: _grouped_index(dist, c, k) for k in rest}
+    packed = _pack(all_pairs_distances(g), min(max(rest), len(c.support())))
+    return out | {k: _grouped_index(packed, c, k) for k in rest}
 
 
 def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None:
     """SW_k^c through the twin quotient Q, or None unless Q is a tree, whose
     weighted index the edge-cut formula reads in linear time.
 
-    Classes are the true twins (equal N[v]), then the false twins (equal
-    N(v)) among the rest; Q is induced on each class's lowest member. If the
+    Classes and Q are those of `graph.twin_classes` and `twin_quotient`. If the
     originals S* of a k-set of copies meet class c in j_c >= 1 vertices,
     d(S*) = d_Q(S*) + sum(j_c - 1), plus 1 when |S*| >= 2 lies in one false
     class. C(N, k) - C(N - w_v, k) k-sets hold a copy of v, and
@@ -212,22 +216,9 @@ def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None
     N = c.total. Summed: SW_k = SW_k^a(Q) + (n - q)·C(N, k) - sum_v C(N - w_v, k)
     + sum_c C(N - a_c, k) + sum_{false c} [C(a_c, k) - sum_{v in c} C(w_v, k)].
     """
-    closed: dict = {}
-    for v, nbrs in enumerate(g.adj):
-        closed.setdefault(tuple(sorted((v, *nbrs))), []).append(v)
-    opened: dict = {}
-    for v, *twins in closed.values():
-        if not twins:
-            opened.setdefault(g.adj[v], []).append(v)
-    classes = sorted([x for x in closed.values() if len(x) > 1] + list(opened.values()))
+    classes = twin_classes(g)
     q, total = len(classes), c.total
-    if q == g.n:
-        return None
-    # classes are modules: a lowest member sees each class it touches
-    # through that class's lowest member, and pos keeps the tuples sorted
-    pos = {x[0]: i for i, x in enumerate(classes)}
-    quotient = Graph._trusted(q, [tuple(pos[u] for u in g.adj[x[0]] if u in pos) for x in classes])
-    if quotient.m != q - 1:
+    if q == g.n or (quotient := twin_quotient(g, classes)).m != q - 1:
         return None
     a = WeightFn([c.weight_of(x) for x in classes])
     false = [(a_c, x) for a_c, x in zip(a.values(), classes) if len(x) > 1 and x[1] not in g.adj[x[0]]]
@@ -249,18 +240,18 @@ def _exact_multiplicity(c, originals: tuple[int, ...], k: int) -> int:
                for r in range(s + 1) for sub in combinations(originals, r))
 
 
-def _grouped_index(dist: list[list[int]], c: WeightFn, k: int) -> int:
+def _grouped_index(packed: _Packed, c: WeightFn, k: int) -> int:
     """Every k-subset of copies with original set S* contributes d(S*), so
     group by S* and weigh by its number of copy sets. Needs k >= 2. S* holds
     k copies only if |S*| >= k / max c; at |S*| = k the count is the product
     of the weights (1 for unit weights, where only this size occurs), below
-    it inclusion-exclusion."""
+    it inclusion-exclusion. `packed` must be `_pack`ed for min(k, |support|)
+    or more, so one pack serves every k of a call."""
     support = c.support()
     w = [c[v] for v in support]
     top = max(w)
     total = 0
     largest = min(k, len(support))
-    packed = _pack(dist, largest)
     for size in range(max(2, -(-k // top)), largest + 1):
         for base, roots, values in _subset_distances(packed, support, size):
             if size < k:

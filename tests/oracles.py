@@ -5,7 +5,9 @@ out the conditions the certificate verifier reads off labelled searches, the
 tree Steiner distance checks the general engine on trees, the two spanning-tree
 constructors are written out loop by loop as a check on the shared star-forest
 grower, straightening by walks re-derives every branch of every move from the
-tree itself, and the rest are small distance helpers written the obvious way.
+tree itself, the diameter by all searches takes one search per vertex where the
+library reads the twin quotient, and the rest are small distance helpers
+written the obvious way.
 """
 
 from collections import deque
@@ -88,6 +90,13 @@ def edge_distance(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> int:
     if best is None:
         raise PreconditionError("edges lie in different components")
     return best
+
+
+def diameter_by_all_searches(g: Graph) -> int:
+    """Largest hop distance over all pairs, from one search per vertex."""
+    if g.n == 0 or not is_connected(g):
+        raise PreconditionError("diameter needs a non-empty connected graph")
+    return max(d for u in range(g.n) for d in bfs_distances(g, u))
 
 
 def steiner_distance_tree(t: Graph, terminals) -> int:

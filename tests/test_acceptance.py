@@ -30,7 +30,7 @@ from swindex import (
     weighted_sw_bound,
 )
 from swindex.graph import all_pairs_distances, bfs_distances
-from swindex.steiner import _grouped_index
+from swindex.steiner import _grouped_index, _pack
 
 from ensembles import (
     random_connected_bipartite,
@@ -203,7 +203,7 @@ def test_09_oracle_equivalences():
         if w.total < 2:
             continue
         k = rng.randint(2, min(w.total, 4))
-        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(all_pairs_distances(t), w, k)
+        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(_pack(all_pairs_distances(t), k), w, k)
         checked += 1
     # tree traversal vs general engine; pair case vs plain search
     for _ in range(150):

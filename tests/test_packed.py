@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swindex import PreconditionError, WeightFn, steiner_wiener_weighted_naive
+from swindex import PreconditionError, WeightFn, check_all, steiner_wiener_weighted_naive
 from swindex import steiner
-from swindex.graph import Graph, all_pairs_distances, bfs_distances, is_connected
-from swindex.steiner import _grouped_index, _pack, _subset_distances
+from swindex.graph import Graph, all_pairs_distances, bfs_distances, is_connected, twin_classes
+from swindex.steiner import _grouped_index, _indices, _pack, _subset_distances, _twin_indices
 
 from ensembles import random_connected_graph, random_weights
 from test_steiner import steiner_per_subset
@@ -120,15 +120,15 @@ def test_identities_of_the_enumeration(n, extra, rng):
     # trees, twin graphs and complete graphs included: _grouped_index runs
     # the kernel on all of them, where the dispatcher would take a formula
     g = random_connected_graph(n, rng, extra)
-    dist = all_pairs_distances(g)
+    packed = _pack(all_pairs_distances(g), n)  # one pack serves every k
     c = WeightFn.uniform(n)
-    assert _grouped_index(dist, c, 1) == 0
-    assert _grouped_index(dist, c, n) == n - 1
-    assert _grouped_index(dist, c, 2) == sum(
+    assert _grouped_index(packed, c, 1) == 0
+    assert _grouped_index(packed, c, n) == n - 1
+    assert _grouped_index(packed, c, 2) == sum(
         bfs_distances(g, u)[v] for u, v in combinations(range(n), 2))
     # V - v needs v exactly when v is a cut vertex; k = n - 1 reads every
     # bipartition getter of sizes up to n - 2
-    assert _grouped_index(dist, c, n - 1) == n * (n - 2) + cut_vertices(g)
+    assert _grouped_index(packed, c, n - 1) == n * (n - 2) + cut_vertices(g)
 
 
 def test_the_matrix_is_packed_once_per_call():
@@ -139,6 +139,20 @@ def test_the_matrix_is_packed_once_per_call():
         steiner_wiener_weighted_naive(g, w, 4)
         assert pack.call_count == 1
         pack.reset_mock()
-        # weights up to 3 at k = 4 visit original sets of sizes 2, 3 and 4
-        _grouped_index(all_pairs_distances(g), w, 4)
+        # weights up to 3 at k = 4 visit original sets of sizes 2, 3 and 4,
+        # and one pack for the largest k serves k = 2 and 3 as well
+        assert g.m > g.n - 1 and _twin_indices(g, w, [4]) is None
+        _indices(g, w, {2, 3, 4})
         assert pack.call_count == 1
+
+
+def test_check_all_packs_once():
+    # verify measures SW_2 and SW_k through one check_all; a twin-free
+    # non-tree graph reaches the enumeration for both
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (2, 5)])
+    assert len(twin_classes(g)) == g.n and g.m > g.n - 1
+    with (mock.patch.object(steiner, "_pack", wraps=steiner._pack) as pack,
+          mock.patch.object(steiner, "_grouped_index", wraps=steiner._grouped_index) as grouped):
+        check_all(g, 4)
+    assert sorted(call.args[2] for call in grouped.call_args_list) == [2, 4]
+    assert pack.call_count == 1

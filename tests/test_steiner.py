@@ -115,7 +115,7 @@ def test_engine_matches_per_subset_reference():
         expected = sum(steiner_per_subset(dist, c) for c in combos)
         assert steiner_wiener(g, k) == expected, (g.edges(), k)
         # the enumeration itself, bypassing the tree and k = 2 dispatch
-        assert _grouped_index(dist, WeightFn.uniform(g.n), k) == expected, (g.edges(), k)
+        assert _grouped_index(_pack(dist, k), WeightFn.uniform(g.n), k) == expected, (g.edges(), k)
         for c in combos[:: max(1, len(combos) // 6)]:
             assert steiner_distance(g, c) == steiner_per_subset(dist, c) == steiner_brute(g, c)
         w = random_weights(g.n, rng, lo=0, hi=2)

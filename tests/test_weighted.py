@@ -24,7 +24,7 @@ from swindex import (
 from swindex import steiner
 from swindex.cli import main
 from swindex.graph import all_pairs_distances
-from swindex.steiner import _grouped_index, _indices
+from swindex.steiner import _grouped_index, _indices, _pack
 
 from ensembles import random_connected_graph, random_tree, random_weights
 
@@ -107,7 +107,7 @@ def test_tree_fast_path_matches_grouped():
         k = rng.randint(2, min(w.total, 5))
         # the grouped engine itself: steiner_wiener_weighted sends trees to
         # the edge-cut formula
-        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(all_pairs_distances(t), w, k)
+        assert steiner_wiener_weighted_tree(t, w, k) == _grouped_index(_pack(all_pairs_distances(t), k), w, k)
         assert steiner_wiener_weighted(t, w, k) == steiner_wiener_weighted_tree(t, w, k)
         checked += 1
 
@@ -166,7 +166,7 @@ def test_dispatch_matches_copies_and_grouping(n, extra, top, rng):
     guard = mock.patch.object(steiner, "_exact_multiplicity", side_effect=AssertionError)
     with guard if top == 1 else nullcontext():
         got = _indices(g, c, set(ks))
-        grouped = {k: _grouped_index(dist, c, k) for k in ks}
+        grouped = {k: _grouped_index(_pack(dist, k), c, k) for k in ks}
     for k in ks:
         expected = steiner_wiener_weighted_naive(g, c, k)
         assert got[k] == expected == grouped[k], (g.edges(), c, k)
