@@ -2,9 +2,10 @@
 
 `BOUNDS` maps each stable identifier (eq1, theorem4, ...) to one `Bound`
 row: its formula, the parameters it needs, what it measures and when it
-applies. `bound_rhs`, `applicable` and `check` read the row; no other code
-knows the individual bounds. Every RHS is a Fraction computed with integer
-arithmetic only.
+applies. `bound_rhs`, `applicable` and `check` read the row, and `_report`
+builds every bound report, the certificate verifier's included; no other
+code knows the individual bounds. Theorems 4 and 5 are compositions of the
+lemma2 row. Every RHS is a Fraction computed with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable
 from .errors import PreconditionError
 from .graph import Graph, has_triangle, is_connected, is_two_connected
 from .steiner import _indices
-from .transforms import weighted_sw_bound
 from .weights import WeightFn
 
 __all__ = [
@@ -91,16 +91,15 @@ class Bound:
     min_n: int = 1
 
 
-def _min_degree_rhs(n: int, delta: int, k: int) -> Fraction:
-    """Steiner k-Wiener bound for connected graphs of minimum degree delta."""
-    lead = Fraction(k - 1, k + 1) * Fraction(3 * (n + 1), delta + 1)
-    return (lead + Fraction(3 * delta, delta + 1) + 2 * k) * comb(n, k)
-
-
-def _triangle_free_rhs(n: int, delta: int, k: int) -> Fraction:
-    """The same bound for connected triangle-free graphs."""
-    lead = Fraction(k - 1, k + 1) * Fraction(2 * (n + 1), delta)
-    return (lead + Fraction(4 * delta - 2, delta) + 3 * k + 1) * comb(n, k)
+def _lemma2(total: int, lightest: int, k: int) -> Fraction:
+    """Lemma 2: the largest weighted Steiner k-Wiener index of a tree of
+    total weight N and lightest weight C. Theorems 4 and 5 apply it to the
+    anchor tree of a spanning tree, of total weight n and lightest weight
+    delta + 1 (packing) or 2 delta (matching): a k-set's Steiner tree is at
+    most three (four) times its anchors' one, plus 2k (3k + 1) edges."""
+    binom = comb(total, k)
+    lead = Fraction(k - 1, k + 1) * Fraction(total + 1, lightest) * binom
+    return lead + Fraction(lightest - 1, lightest) * binom
 
 
 _MIN_DEGREE = (lambda g: g.n >= 2 and g.min_degree() >= 1, "needs minimum degree >= 1")
@@ -108,8 +107,16 @@ _TRIANGLE_FREE = (lambda g: not has_triangle(g), "graph contains a triangle")
 # requirements are read once g is proved connected, so its edge count
 # decides whether it is a tree
 _TREE = (lambda g: g.m == g.n - 1, "graph is not a tree")
-_THEOREM4 = Bound(_min_degree_rhs, ("n", "delta", "k"), requires=(_MIN_DEGREE,))
-_THEOREM5 = Bound(_triangle_free_rhs, ("n", "delta", "k"), requires=(_MIN_DEGREE, _TRIANGLE_FREE))
+_THEOREM4 = Bound(
+    lambda n, delta, k: 3 * _lemma2(n, delta + 1, k) + 2 * k * comb(n, k),
+    ("n", "delta", "k"),
+    requires=(_MIN_DEGREE,),
+)
+_THEOREM5 = Bound(
+    lambda n, delta, k: 4 * _lemma2(n, 2 * delta, k) + (3 * k + 1) * comb(n, k),
+    ("n", "delta", "k"),
+    requires=(_MIN_DEGREE, _TRIANGLE_FREE),
+)
 
 BOUNDS: dict[str, Bound] = {
     # largest Wiener index of a connected graph; paths attain it
@@ -132,7 +139,7 @@ BOUNDS: dict[str, Bound] = {
         requires=(_MIN_DEGREE,),
     ),
     # largest weighted index of a tree with total weight N, minimum weight C
-    "lemma2": Bound(weighted_sw_bound, ("N", "C", "k"), requires=(_TREE,)),
+    "lemma2": Bound(_lemma2, ("N", "C", "k"), requires=(_TREE,)),
     "theorem4": _THEOREM4,
     "corollary1": replace(_THEOREM4, average=True),
     "theorem5": _THEOREM5,
@@ -168,10 +175,30 @@ def bound_rhs(which: str, **params) -> Fraction:
             raise PreconditionError(
                 f"bound '{which}' needs {low[name]} <= --{name}{top}, got {value}"
             )
-    value = row.rhs(*args.values())
-    if row.average:
-        value /= comb(args["n"], args["k"])
-    return value
+    return _value(row, args)
+
+
+def _value(row: Bound, args: dict) -> Fraction:
+    """The row's RHS at args (keyed by its `needs`), per k-set if average."""
+    value = row.rhs(*(args[name] for name in row.needs))
+    return value / comb(args["n"], args["k"]) if row.average else value
+
+
+def _report(which: str, measured: int, params: dict, name: str = "") -> BoundReport:
+    """The report on the total index `measured` against bound `which` at
+    params, named `name` or `which`; an average row divides both sides by
+    C(n, k). Unlike `bound_rhs` it checks no domain: a one-vertex
+    certificate reads theorem4 at delta = 0. It is vacuous when the RHS
+    reaches (n - 1) * C(n, k'), k' = 2 for a pair row, as no k'-subset of a
+    connected graph needs more than n - 1 edges (lemma2 reads N as n)."""
+    row = BOUNDS[which]
+    n = params["n"] if "n" in params else params["N"]
+    scale = comb(n, params["k"]) if row.average else 1
+    rhs = _value(row, params)
+    ceiling = Fraction((n - 1) * comb(n, 2 if row.pairs else params["k"]), scale)
+    return BoundReport.of(
+        name or which, Fraction(measured) / scale, rhs, "le", params, vacuous=rhs >= ceiling
+    )
 
 
 def _refusals(g: Graph, k: int, names) -> dict[str, str]:
@@ -200,43 +227,30 @@ def applicable(g: Graph, which: str, k: int) -> tuple[bool, str]:
 
 def check(g: Graph, which: str, k: int = 2) -> BoundReport:
     """Measure the bounded quantity on g exactly and compare to the RHS."""
-    _row(which)
     ((_, report),) = check_all(g, k, (which,))
     if isinstance(report, str):
         raise PreconditionError(f"bound '{which}' not applicable: {report}")
     return report
 
 
-def trivial_ceiling(n: int, k: int) -> int:
-    """(n - 1) * C(n, k): no k-subset of a connected n-vertex graph needs more
-    than the n - 1 edges of a spanning tree, so an upper bound on SW_k at or
-    above this is vacuous."""
-    return (n - 1) * comb(n, k)
-
-
 def check_all(g: Graph, k: int, names=BOUND_IDS) -> list[tuple[str, BoundReport | str]]:
     """`check` each named bound, in BOUND_IDS order: pairs (name, report),
-    or (name, reason) for a bound that does not apply. Connectivity is
-    proved once, and every index the applicable bounds read, SW_2 or SW_k,
-    is measured by one engine call."""
-    n = g.n
+    or (name, reason) for a bound that does not apply. An unknown name
+    raises PreconditionError. Connectivity is proved once, and every index
+    the applicable bounds read, SW_2 or SW_k, is measured by one engine
+    call."""
+    for name in names:
+        _row(name)
     refusals = _refusals(g, k, [x for x in BOUND_IDS if x in names])
     eff_k = {name: 2 if BOUNDS[name].pairs else k for name, why in refusals.items() if not why}
-    measured = _indices(g, WeightFn.uniform(n), set(eff_k.values()))
+    measured = _indices(g, WeightFn.uniform(g.n), set(eff_k.values()))
+    # lemma2 reads g as a unit-weight tree: total weight n, minimum weight 1
+    known = {"n": g.n, "N": g.n, "C": 1, "k": k}
     out = []
     for name, reason in refusals.items():
         if reason:
             out.append((name, reason))
             continue
-        row = BOUNDS[name]
-        # lemma2 reads g as a unit-weight tree: total weight n, minimum weight 1
-        known = {"n": n, "N": n, "C": 1, "k": k}
-        params = {p: g.min_degree() if p == "delta" else known[p] for p in row.needs}
-        value = Fraction(measured[eff_k[name]])
-        ceiling = Fraction(trivial_ceiling(n, eff_k[name]))
-        if row.average:
-            value /= comb(n, k)
-            ceiling /= comb(n, k)
-        rhs = bound_rhs(name, **params)
-        out.append((name, BoundReport.of(name, value, rhs, "le", params, vacuous=rhs >= ceiling)))
+        params = {p: g.min_degree() if p == "delta" else known[p] for p in BOUNDS[name].needs}
+        out.append((name, _report(name, measured[eff_k[name]], params)))
     return out

@@ -14,7 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .bounds import BOUNDS, BoundReport, trivial_ceiling
+from .bounds import BoundReport, _report
 from .errors import PreconditionError
 from .graph import (
     Graph,
@@ -354,18 +354,8 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
         _require_k(k, n)
         sw = _indices(t, WeightFn.uniform(n), (k,))[k]
         bound = "theorem4" if packing else "theorem5"
-        rhs = BOUNDS[bound].rhs(n, delta, k)
         name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"
-        reports.append(
-            BoundReport.of(
-                name,
-                sw,
-                rhs,
-                "le",
-                {"n": n, "delta": delta, "k": k},
-                vacuous=rhs >= trivial_ceiling(n, k),
-            )
-        )
+        reports.append(_report(bound, sw, {"n": n, "delta": delta, "k": k}, name))
     return reports
 
 

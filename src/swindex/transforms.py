@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
@@ -23,7 +22,6 @@ __all__ = [
     "relocate_branches",
     "relocation_sw_delta",
     "straighten_to_path",
-    "weighted_sw_bound",
     "moves_to_json",
 ]
 
@@ -52,14 +50,6 @@ class BranchMove:
             if not t.has_edge(self.u, a):
                 raise PreconditionError(f"branch {a} is not a neighbor of u")
 
-    def partition(self) -> tuple[frozenset, frozenset, frozenset]:
-        """(U, W, X): the u-side and w-side of the remaining tree around the
-        u-w edge, and the vertex set of the moved branches."""
-        adj = self.tree.adj
-        w_side = frozenset(_branch(adj, self.u, self.w))
-        moved = frozenset().union(*(_branch(adj, self.u, a) for a in self.branches))
-        return frozenset(range(self.tree.n)) - w_side - moved, w_side, moved
-
 
 def relocate_branches(move: BranchMove) -> Graph:
     """Apply the move. The result is a tree, as the host is one and each
@@ -84,15 +74,16 @@ def relocation_sw_delta(move: BranchMove, weights, k: int) -> int:
     one side of the u-w edge gives
         sum_i C(c(X), k-i) * (C(c(U), i) - C(c(W), i)),  i = 1..k-1,
     which is >= 0 whenever the u-side is at least as heavy as the w-side.
-    It can be 0 on such a move: K1,3 with unit weights at k = 4.
+    It can be 0 on such a move: K1,3 with unit weights at k = 4. The w-side
+    and the moved branches are walked; the u-side weighs what is left.
     """
     c = as_weights(weights, move.tree.n)
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    u_side, w_side, moved = move.partition()
-    cu = c.weight_of(u_side)
-    cw = c.weight_of(w_side)
-    cx = c.weight_of(moved)
+    adj = move.tree.adj
+    cw = c.weight_of(_branch(adj, move.u, move.w))
+    cx = sum(c.weight_of(_branch(adj, move.u, a)) for a in move.branches)
+    cu = c.total - cw - cx
     return sum(
         comb(cx, k - i) * (comb(cu, i) - comb(cw, i)) for i in range(1, k)
     )
@@ -107,9 +98,10 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     the pivot plus the second-lightest branch, then outweighs the target
     branch, so the weighted index never drops along the trace for any k.
     That is checked before every move, and it makes the loop end: at k = 2
-    a move raises the index by c(X) * (c(U) - c(W)) >= 1, and
-    weighted_sw_bound(N, C, 2) caps that index. Each tree is proved a tree
-    once: as the host of its move, or here. Returns the path and the trace.
+    a move raises the index by c(X) * (c(U) - c(W)) >= 1, and lemma 2,
+    bound_rhs("lemma2", N=N, C=C, k=2), caps that index. Each tree is proved
+    a tree once: as the host of its move, or here. Returns the path and the
+    trace.
 
     Branches are read, not walked: rooted at vertex 0, the tree keeps parent,
     sub (subtree weight) and low (lowest id below) across moves. At pivot p,
@@ -164,20 +156,6 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     if not is_tree(t):
         raise AssertionError("straightening did not end in a tree")
     return t, trace
-
-
-def weighted_sw_bound(total_weight: int, min_weight: int, k: int) -> Fraction:
-    """Largest weighted Steiner k-Wiener index a tree can reach, given total
-    weight and the smallest vertex weight (paths with the light vertex at an
-    end are the extremal shape)."""
-    if min_weight < 1:
-        raise PreconditionError("minimum weight must be >= 1")
-    if not 1 <= k <= total_weight:
-        raise PreconditionError(f"k={k} out of range 1..{total_weight}")
-    binom = comb(total_weight, k)
-    lead = Fraction(k - 1, k + 1) * Fraction(total_weight + 1, min_weight) * binom
-    rest = Fraction(min_weight - 1, min_weight) * binom
-    return lead + rest
 
 
 def moves_to_json(trace) -> str:

@@ -6,11 +6,15 @@ tree Steiner distance checks the general engine on trees, the two spanning-tree
 constructors are written out loop by loop as a check on the shared star-forest
 grower, straightening by walks re-derives every branch of every move from the
 tree itself, the diameter by all searches takes one search per vertex where the
-library reads the twin quotient, and the rest are small distance helpers
-written the obvious way.
+library reads the twin quotient, the move partition lists the vertex sets whose
+weights the library's move pricing only counts, the two minimum-degree bounds are
+written out in closed form where the library composes them from lemma 2, and the
+rest are small distance helpers written the obvious way.
 """
 
 from collections import deque
+from fractions import Fraction
+from math import comb
 
 from swindex import (
     BranchMove,
@@ -308,3 +312,24 @@ def straighten_by_walks(tree: Graph, weights, k: int) -> tuple[Graph, list[Branc
         move = BranchMove(t, pivot, comps[-1][2], frozenset(nb for _, _, nb in comps[:-2]))
         t = relocate_branches(move)
         trace.append(move)
+
+
+def partition(move: BranchMove) -> tuple[frozenset, frozenset, frozenset]:
+    """(U, W, X): the u-side and w-side of the remaining tree around the
+    u-w edge, and the vertex set of the moved branches."""
+    adj = move.tree.adj
+    w_side = frozenset(_branch(adj, move.u, move.w))
+    moved = frozenset().union(*(_branch(adj, move.u, a) for a in move.branches))
+    return frozenset(range(move.tree.n)) - w_side - moved, w_side, moved
+
+
+def theorem4_expanded(n: int, delta: int, k: int) -> Fraction:
+    """Theorem 4's bound with lemma 2 multiplied out."""
+    lead = Fraction(k - 1, k + 1) * Fraction(3 * (n + 1), delta + 1)
+    return (lead + Fraction(3 * delta, delta + 1) + 2 * k) * comb(n, k)
+
+
+def theorem5_expanded(n: int, delta: int, k: int) -> Fraction:
+    """Theorem 5's bound (triangle-free) with lemma 2 multiplied out."""
+    lead = Fraction(k - 1, k + 1) * Fraction(2 * (n + 1), delta)
+    return (lead + Fraction(4 * delta - 2, delta) + 3 * k + 1) * comb(n, k)

@@ -27,7 +27,6 @@ from swindex import (
     steiner_wiener_weighted_tree,
     tightness_sweep,
     verify_certificate,
-    weighted_sw_bound,
 )
 from swindex.graph import all_pairs_distances, bfs_distances
 from swindex.steiner import _grouped_index, _pack
@@ -39,7 +38,7 @@ from ensembles import (
     random_weights,
     subdivide_all,
 )
-from oracles import line_graph, steiner_distance_tree
+from oracles import line_graph, partition, steiner_distance_tree
 
 
 def criterion(num, name, budget_s):
@@ -104,7 +103,7 @@ def test_04_relocation_gap_exactness():
         branches = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
         weights = random_weights(n, rng, lo=1, hi=3)
         move = BranchMove(t, u, w, branches)
-        u_side, w_side, moved = move.partition()
+        u_side, w_side, moved = partition(move)
         if weights.weight_of(u_side) <= weights.weight_of(w_side):
             continue
         assert weights.weight_of(moved) >= 1
@@ -126,7 +125,7 @@ def test_05_weighted_tree_bound():
         weights = random_weights(n, rng, lo=1, hi=3)
         k = min(rng.choice((2, 3)), weights.total)
         sw = steiner_wiener_weighted_tree(t, weights, k)
-        bound = weighted_sw_bound(weights.total, weights.min_weight(), k)
+        bound = bound_rhs("lemma2", N=weights.total, C=weights.min_weight(), k=k)
         assert Fraction(sw) <= bound
 
 

@@ -64,7 +64,6 @@ PUBLIC = [
     "tightness_sweep",
     "triangle_free_extremal",
     "verify_certificate",
-    "weighted_sw_bound",
 ]
 
 # module.name -> parameter names (fields, for dataclasses built positionally)

@@ -21,6 +21,7 @@ from swindex import (
 from swindex.cli import main
 
 from ensembles import random_connected_bipartite, random_connected_graph, random_tree
+from oracles import theorem4_expanded, theorem5_expanded
 
 
 def test_evaluator_values():
@@ -38,6 +39,19 @@ def test_evaluator_values():
     assert bound_rhs("theorem5", n=6, delta=2, k=3) == 330
     assert bound_rhs("corollary1", n=16, delta=5, k=2) == Fraction(1120, comb(16, 2))
     assert bound_rhs("corollary2", n=9, delta=2, k=2) == Fraction(480, comb(9, 2))
+
+
+def test_theorems_compose_lemma2():
+    # the rows read lemma 2 on the anchor tree; they equal the expanded
+    # closed forms everywhere, delta = 0 included for theorem 4 (a one-vertex
+    # certificate reads it there)
+    t4, t5 = BOUNDS["theorem4"].rhs, BOUNDS["theorem5"].rhs
+    for n in range(1, 60):
+        for k in range(1, n + 1):
+            for delta in range(n + 2):
+                assert t4(n, delta, k) == theorem4_expanded(n, delta, k), (n, delta, k)
+                if delta:
+                    assert t5(n, delta, k) == theorem5_expanded(n, delta, k), (n, delta, k)
 
 
 def test_bound_rhs_dispatch():
@@ -113,6 +127,17 @@ def test_check_all_proves_connectivity_once(searches):
     # the cycle adds one all-pairs matrix, 12 rows, for both SW_2 and SW_4
     check_all(cycle_graph(12), 4)
     assert len(searches) <= 13
+
+
+def test_check_all_refuses_unknown_names():
+    for names in (["theorem9"], ["eq1", "theorem9"], ("nosuch",)):
+        with pytest.raises(PreconditionError, match="unknown bound"):
+            check_all(path_graph(4), 2, names)
+    # the name is refused before the graph is looked at
+    with pytest.raises(PreconditionError, match="unknown bound 'theorem9'"):
+        check_all(Graph.from_edges(3, [(0, 1)]), 2, ["theorem9"])
+    with pytest.raises(PreconditionError, match="unknown bound"):
+        check(path_graph(4), "theorem9", 2)
 
 
 def test_applicable_agrees_with_check_all():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from swindex import (
     Graph,
     PreconditionError,
     WeightFn,
+    bound_rhs,
     cycle_graph,
     moves_to_json,
     path_graph,
@@ -21,12 +23,11 @@ from swindex import (
     steiner_wiener_weighted_tree,
     straighten_to_path,
     transforms,
-    weighted_sw_bound,
 )
 
 from ensembles import random_tree, random_weights
 from golden import check_traces
-from oracles import straighten_by_walks
+from oracles import partition, straighten_by_walks
 
 
 def caterpillar_with_bundles() -> Graph:
@@ -58,14 +59,14 @@ def test_move_validation():
 def test_partition_examples():
     t = caterpillar_with_bundles()
     mv = BranchMove(t, 2, 3, frozenset({7, 8}))
-    u_side, w_side, moved = mv.partition()
+    u_side, w_side, moved = partition(mv)
     assert u_side == frozenset({0, 1, 2, 6})
     assert w_side == frozenset({3, 4, 5})
     assert moved == frozenset({7, 8, 9, 10, 11})
 
     p4 = path_graph(4)
     mv = BranchMove(p4, 1, 2, frozenset({0}))
-    u_side, w_side, moved = mv.partition()
+    u_side, w_side, moved = partition(mv)
     assert (u_side, w_side, moved) == (
         frozenset({1}),
         frozenset({2, 3}),
@@ -74,7 +75,7 @@ def test_partition_examples():
 
     star = star_graph(3)
     mv = BranchMove(star, 0, 3, frozenset({1, 2}))
-    u_side, w_side, moved = mv.partition()
+    u_side, w_side, moved = partition(mv)
     assert (u_side, w_side, moved) == (
         frozenset({0}),
         frozenset({3}),
@@ -125,7 +126,7 @@ def test_partition_matches_banned_set_reference():
         mv = random_move(t, rng)
         if mv is None:
             continue
-        assert mv.partition() == partition_reference(mv)
+        assert partition(mv) == partition_reference(mv)
         checked += 1
 
 
@@ -163,7 +164,7 @@ def test_gap_examples():
     # balanced sides cancel exactly
     balanced = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     mv = BranchMove(balanced, 1, 2, frozenset({4}))
-    u_side, w_side, _ = mv.partition()
+    u_side, w_side, _ = partition(mv)
     assert len(u_side) == len(w_side)
     assert relocation_sw_delta(mv, 1, 2) == 0
 
@@ -255,7 +256,7 @@ def test_straighten_terminates_by_pair_index():
         assert sum(deltas) == steiner_wiener_weighted_tree(
             out, weights, k
         ) - steiner_wiener_weighted_tree(t, weights, k)
-        assert pair_index <= weighted_sw_bound(weights.total, weights.min_weight(), 2)
+        assert pair_index <= bound_rhs("lemma2", N=weights.total, C=weights.min_weight(), k=2)
 
 
 def test_straighten_proves_each_tree_once(monkeypatch):
@@ -320,6 +321,24 @@ def test_straighten_matches_walks(t, unit, k, data):
     assert out.edges() == ref_out.edges()
 
 
+@settings(max_examples=200, deadline=None)
+@given(shaped_trees(), st.integers(1, 6), st.data())
+def test_price_matches_partition_weights(t, k, data):
+    # the price counts c(W) and c(X) by walks and takes c(U) as the rest;
+    # it equals the closed form over the weights of the oracle's partition
+    if t.n < 3:
+        return
+    u = data.draw(st.sampled_from([v for v in range(t.n) if t.degree(v) >= 2]))
+    w = data.draw(st.sampled_from(t.adj[u]))
+    rest = [a for a in t.adj[u] if a != w]
+    branches = data.draw(st.sets(st.sampled_from(rest), min_size=1))
+    weights = WeightFn(data.draw(st.lists(st.integers(0, 3), min_size=t.n, max_size=t.n)))
+    mv = BranchMove(t, u, w, frozenset(branches))
+    cu, cw, cx = (weights.weight_of(side) for side in partition(mv))
+    expected = sum(comb(cx, k - i) * (comb(cu, i) - comb(cw, i)) for i in range(1, k))
+    assert relocation_sw_delta(mv, weights, k) == expected
+
+
 def test_straighten_needs_more_moves_than_vertices():
     t = random_tree(32, random.Random(16))
     out, trace = straighten_to_path(t, 1, 2)
@@ -358,14 +377,14 @@ def test_straighten_validates():
 
 
 def test_weighted_sw_bound_values():
-    assert weighted_sw_bound(3, 1, 2) == 4
-    assert weighted_sw_bound(4, 1, 3) == 10
-    assert weighted_sw_bound(4, 2, 2) == 8
-    assert weighted_sw_bound(7, 1, 2) == Fraction(56)
+    assert bound_rhs("lemma2", N=3, C=1, k=2) == 4
+    assert bound_rhs("lemma2", N=4, C=1, k=3) == 10
+    assert bound_rhs("lemma2", N=4, C=2, k=2) == 8
+    assert bound_rhs("lemma2", N=7, C=1, k=2) == Fraction(56)
     with pytest.raises(PreconditionError):
-        weighted_sw_bound(4, 0, 2)
+        bound_rhs("lemma2", N=4, C=0, k=2)
     with pytest.raises(PreconditionError):
-        weighted_sw_bound(4, 1, 5)
+        bound_rhs("lemma2", N=4, C=1, k=5)
 
 
 def test_weighted_sw_bound_dominates_random_trees():
@@ -376,7 +395,7 @@ def test_weighted_sw_bound_dominates_random_trees():
         weights = random_weights(n, rng, lo=1, hi=3)
         k = rng.randint(2, min(weights.total, 4))
         sw = steiner_wiener_weighted_tree(t, weights, k)
-        assert sw <= weighted_sw_bound(weights.total, weights.min_weight(), k)
+        assert sw <= bound_rhs("lemma2", N=weights.total, C=weights.min_weight(), k=k)
 
 
 def test_moves_to_json():
