@@ -4,8 +4,8 @@
 row: its formula, the parameters it needs, what it measures and when it
 applies. `bound_rhs`, `applicable` and `check` read the row, and `_report`
 builds every bound report, the certificate verifier's included; no other
-code knows the individual bounds. Theorems 4 and 5 are compositions of the
-lemma2 row. Every RHS is a Fraction computed with integer arithmetic only.
+code knows the individual bounds. One helper composes theorems 4 and 5 from
+the lemma2 row. Every RHS is a Fraction computed with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class Bound:
     index (k = 2) whatever k is asked for; an `average` bound divides both
     sides by C(n, k). `requires` lists the structural conditions beyond
     connectivity, each with the reason `applicable` gives when it fails.
-    `min_n` is the smallest order n in the formula's domain.
+    `min_n` is the smallest order n in the formula's domain. `lead`, if set,
+    is the part of `rhs` that grows with n: the term a sweep measures.
     """
 
     rhs: Callable[..., Fraction]
@@ -89,14 +90,12 @@ class Bound:
     average: bool = False
     requires: tuple[tuple[Callable[[Graph], bool], str], ...] = ()
     min_n: int = 1
+    lead: Callable[..., Fraction] | None = None
 
 
 def _lemma2(total: int, lightest: int, k: int) -> Fraction:
     """Lemma 2: the largest weighted Steiner k-Wiener index of a tree of
-    total weight N and lightest weight C. Theorems 4 and 5 apply it to the
-    anchor tree of a spanning tree, of total weight n and lightest weight
-    delta + 1 (packing) or 2 delta (matching): a k-set's Steiner tree is at
-    most three (four) times its anchors' one, plus 2k (3k + 1) edges."""
+    total weight N and lightest weight C."""
     binom = comb(total, k)
     lead = Fraction(k - 1, k + 1) * Fraction(total + 1, lightest) * binom
     return lead + Fraction(lightest - 1, lightest) * binom
@@ -107,16 +106,21 @@ _TRIANGLE_FREE = (lambda g: not has_triangle(g), "graph contains a triangle")
 # requirements are read once g is proved connected, so its edge count
 # decides whether it is a tree
 _TREE = (lambda g: g.m == g.n - 1, "graph is not a tree")
-_THEOREM4 = Bound(
-    lambda n, delta, k: 3 * _lemma2(n, delta + 1, k) + 2 * k * comb(n, k),
-    ("n", "delta", "k"),
-    requires=(_MIN_DEGREE,),
-)
-_THEOREM5 = Bound(
-    lambda n, delta, k: 4 * _lemma2(n, 2 * delta, k) + (3 * k + 1) * comb(n, k),
-    ("n", "delta", "k"),
-    requires=(_MIN_DEGREE, _TRIANGLE_FREE),
-)
+
+
+def _anchor_tree(names, stretch, lightest, extra, *requires) -> dict[str, Bound]:
+    """Rows `names` of a theorem and its average corollary: a k-set's Steiner
+    tree is at most `stretch` times its anchors' one on an anchor tree of
+    total weight n and lightest weight lightest(delta), plus extra(k) edges."""
+    row = Bound(
+        lambda n, delta, k: stretch * _lemma2(n, lightest(delta), k) + extra(k) * comb(n, k),
+        ("n", "delta", "k"),
+        requires=(_MIN_DEGREE, *requires),
+        lead=lambda n, delta, k: Fraction((k - 1) * stretch * n, (k + 1) * lightest(delta))
+        * comb(n, k),
+    )
+    return dict(zip(names, (row, replace(row, average=True))))
+
 
 BOUNDS: dict[str, Bound] = {
     # largest Wiener index of a connected graph; paths attain it
@@ -140,10 +144,10 @@ BOUNDS: dict[str, Bound] = {
     ),
     # largest weighted index of a tree with total weight N, minimum weight C
     "lemma2": Bound(_lemma2, ("N", "C", "k"), requires=(_TREE,)),
-    "theorem4": _THEOREM4,
-    "corollary1": replace(_THEOREM4, average=True),
-    "theorem5": _THEOREM5,
-    "corollary2": replace(_THEOREM5, average=True),
+    # packing anchors weigh at least delta + 1, matched pairs at least 2 delta
+    **_anchor_tree(("theorem4", "corollary1"), 3, lambda delta: delta + 1, lambda k: 2 * k),
+    **_anchor_tree(("theorem5", "corollary2"), 4, lambda delta: 2 * delta, lambda k: 3 * k + 1,
+                   _TRIANGLE_FREE),
 }
 
 BOUND_IDS = tuple(BOUNDS)

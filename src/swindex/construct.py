@@ -261,13 +261,15 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     passes iff its slack is >= 0.
 
     The verifier is total: a malformed certificate yields FAIL reports, never
-    an exception (only a k outside 1..n raises). The checks after
-    spanning_tree read distances in g and in the tree, so they run only when
-    the tree is a spanning tree of g; anchor and assignment entries that are
-    not vertices of g count as violations, and so does a connector that is
-    not a tree edge.
+    an exception; only a k outside 1..n on a non-empty g raises, before any
+    check. The checks after spanning_tree read distances in g and in the
+    tree, so they run only when the tree is a spanning tree of g; anchor and
+    assignment entries that are not vertices of g count as violations, and
+    so does a connector that is not a tree edge.
     """
     n = g.n
+    if n:  # no tree spans an empty g: its one report fails at any k
+        _require_k(k, n)
     t = cert.tree
     tree_edges = set(t.edges())
     strays = sum(1 for u, v in tree_edges if not (v < n and g.has_edge(u, v)))
@@ -351,7 +353,6 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     # vertex: no edge to match, so edges_form_matching has already failed
     if packing or delta:
         # t is a proved tree: the dispatcher needs no second search
-        _require_k(k, n)
         sw = _indices(t, WeightFn.uniform(n), (k,))[k]
         bound = "theorem4" if packing else "theorem5"
         name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
+from .bounds import BOUNDS
 from .errors import PreconditionError
 from .graph import Graph, diameter, has_triangle
 from .steiner import steiner_wiener
@@ -116,20 +116,7 @@ def min_degree_extremal(d: int, delta: int) -> Graph:
     interior cliques (d >= 4, or any d >= 2 when delta = 2); smaller
     diameters degenerate toward complete graphs.
     """
-    LAYERED["G"].check(d, delta)
-    s = (delta + 1) // 3
-    end = [complete_graph(delta)]
-    g = sequential_sum(end + [complete_graph(s)] * (d - 1) + end)
-    assert g.n == LAYERED["G"].order(d, delta)
-    assert diameter(g) == d
-    if d == 1:
-        expected = 2 * delta - 1  # the two end cliques merge into one
-    elif d <= 3:
-        expected = delta - 1 + s  # end-clique vertices still dominate
-    else:
-        expected = delta
-    assert g.min_degree() == expected
-    return g
+    return LAYERED["G"].build(d, delta)
 
 
 def triangle_free_extremal(d: int, delta: int) -> Graph:
@@ -141,30 +128,24 @@ def triangle_free_extremal(d: int, delta: int) -> Graph:
     are completely joined and every layer is independent, so the graph is
     bipartite (layers of even and odd position) and has no triangle.
     """
-    LAYERED["H"].check(d, delta)
-    side = [empty_graph(delta)] * 2
-    g = sequential_sum(side + [empty_graph(delta // 2)] * (d - 3) + side)
-    assert g.n == LAYERED["H"].order(d, delta)
-    assert diameter(g) == d
-    assert g.min_degree() == delta
-    assert not has_triangle(g)
-    return g
+    return LAYERED["H"].build(d, delta)
 
 
 @dataclass(frozen=True)
 class Layered:
-    """One layered family: its builder with the order of the graph it builds
-    from (d, delta), the smallest diameter it builds, its rule on delta with
-    the text that states it, and the growth term per k-subset of the bound
-    its sweep is measured against."""
+    """One layered family: the sequential sum of one `part` per entry of
+    `sizes(d, delta)`, its smallest diameter, its rule on delta with the text
+    that states it, what `build` proves, and the bound row its sweep reads."""
 
     name: str
-    build: Callable[[int, int], Graph]
-    order: Callable[[int, int], int]
+    part: Callable[[int], Graph]
+    sizes: Callable[[int, int], list[int]]
     d_floor: int
     delta_ok: Callable[[int], bool]
     delta_rule: str
-    per_set: Callable[[int, int], Fraction]
+    min_degree: Callable[[int, int], int]
+    triangle_free: bool
+    bound: str
 
     def check(self, d: int, delta: int) -> None:
         if d is None or delta is None:
@@ -173,6 +154,19 @@ class Layered:
             raise PreconditionError(f"family {self.name} needs {self.delta_rule}")
         if d < self.d_floor:
             raise PreconditionError(f"family {self.name} needs d >= {self.d_floor}")
+
+    def build(self, d: int, delta: int) -> Graph:
+        """The graph at (d, delta), one part built per distinct layer size;
+        a failed proof of its diameter, minimum degree or triangle status
+        raises AssertionError."""
+        self.check(d, delta)
+        sizes = self.sizes(d, delta)
+        parts = {size: self.part(size) for size in set(sizes)}
+        g = sequential_sum(parts[size] for size in sizes)
+        proved = (diameter(g), g.min_degree(), not has_triangle(g))
+        if proved != (d, self.min_degree(d, delta), self.triangle_free):
+            raise AssertionError(f"family {self.name} misbuilt at d={d}, delta={delta}")
+        return g
 
 
 CLASSIC = {
@@ -183,22 +177,22 @@ CLASSIC = {
     "complete_bipartite": (complete_bipartite, 2),
 }
 
-# G tracks the minimum-degree bound, 3n/(delta+1) per set; H tracks the
-# triangle-free bound, 2n/delta per set
+# G's end cliques merge at d = 1, and up to d = 3 their vertices have the least degree
 LAYERED = {fam.name: fam for fam in (
-    Layered("G", min_degree_extremal, lambda d, delta: (d + 5) * (delta + 1) // 3 - 2,
+    Layered("G", complete_graph, lambda d, delta: [delta] + [(delta + 1) // 3] * (d - 1) + [delta],
             1, lambda delta: delta >= 2 and delta % 3 == 2,
             "delta >= 2 with delta + 1 divisible by 3",
-            lambda n, delta: Fraction(3 * n, delta + 1)),
-    Layered("H", triangle_free_extremal, lambda d, delta: 4 * delta + (d - 3) * delta // 2,
-            3, lambda delta: delta >= 2 and delta % 2 == 0,
-            "an even delta >= 2", lambda n, delta: Fraction(2 * n, delta)),
+            lambda d, delta: delta if d >= 4 else 2 * delta - 1 if d == 1
+            else delta - 1 + (delta + 1) // 3, False, "theorem4"),
+    Layered("H", empty_graph, lambda d, delta: [delta] * 2 + [delta // 2] * (d - 3) + [delta] * 2,
+            3, lambda delta: delta >= 2 and delta % 2 == 0, "an even delta >= 2",
+            lambda d, delta: delta, True, "theorem5"),
 )}
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One diameter step of a tightness sweep."""
+    """One diameter step of a tightness sweep; `has_triangle` is what `build` proved."""
 
     d: int
     n: int
@@ -225,23 +219,23 @@ def check_sweep(family: str, delta: int, k: int, d_values) -> Layered:
 def tightness_sweep(family: str, delta: int, k: int, d_values):
     """Exact index-to-bound ratios across a range of diameters.
 
-    Each family is measured against the growth term of its bound, the part
-    (k-1)/(k+1) * per_set(n, delta) * C(n, k) that scales with n. Ratios are
-    exact rationals. Every diameter is checked against k before any graph is
-    built; G and H have a path as twin quotient, so no sweep enumerates.
+    Each graph is measured against the `lead` of its family's bound row, the
+    growth term that scales with n; ratios are exact. k is checked at the
+    smallest diameter, the smallest order, before any graph is built; G and
+    H have a path as twin quotient, so no sweep enumerates.
     """
     d_values = list(d_values)
     fam = check_sweep(family, delta, k, d_values)
-    for d in d_values:
-        n = fam.order(d, delta)
-        if k > n:
-            raise PreconditionError(f"k={k} exceeds n={n} at d={d}")
+    d = min(d_values)
+    n = sum(fam.sizes(d, delta))
+    if k > n:
+        raise PreconditionError(f"k={k} exceeds n={n} at d={d}")
     rows = []
     for d in d_values:
         g = fam.build(d, delta)
         sw = steiner_wiener(g, k)
-        term = Fraction(k - 1, k + 1) * fam.per_set(g.n, delta) * comb(g.n, k)
-        rows.append(SweepRow(d, g.n, sw, term, Fraction(sw) / term, has_triangle(g)))
+        term = BOUNDS[fam.bound].lead(g.n, delta, k)
+        rows.append(SweepRow(d, g.n, sw, term, Fraction(sw) / term, not fam.triangle_free))
     return rows
 
 

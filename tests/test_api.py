@@ -1,10 +1,13 @@
 """The public surface, pinned so that a change to it has to be deliberate:
 the names `swindex` exports, and the signatures of the names the benchmark
-harness in bench/ reads module by module."""
+harness in bench/ reads module by module, and that no check in the package
+is an assert statement."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +119,16 @@ def test_harness_signatures(qualified):
         params = tuple(inspect.signature(obj).parameters)
         assert obj.__name__ == name  # the harness labels its timings by __name__
     assert params == HARNESS[qualified]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements: a proof in the package raises
+    # explicitly, so it holds under -O too
+    package = Path(swindex.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

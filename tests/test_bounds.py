@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -172,6 +173,70 @@ def test_corollaries_scale_theorems():
         assert c1.rhs == t4.rhs / comb(g.n, k)
         assert c1.measured == t4.measured / comb(g.n, k)
         assert c1.passed == t4.passed
+
+
+def test_corollaries_are_average_theorem_rows():
+    for theorem, corollary in (("theorem4", "corollary1"), ("theorem5", "corollary2")):
+        assert BOUNDS[corollary] == replace(BOUNDS[theorem], average=True)
+        for n in range(2, 12):
+            for k in range(1, n + 1):
+                for delta in range(1, n):
+                    params = {"n": n, "delta": delta, "k": k}
+                    assert bound_rhs(corollary, **params) == bound_rhs(
+                        theorem, **params
+                    ) / comb(n, k)
+
+
+def test_bound_ids_keep_their_order():
+    assert BOUND_IDS == (
+        "eq1",
+        "eq2",
+        "theorem1",
+        "theorem3",
+        "lemma2",
+        "theorem4",
+        "corollary1",
+        "theorem5",
+        "corollary2",
+    )
+    assert [name for name in BOUND_IDS if BOUNDS[name].lead] == [
+        "theorem4",
+        "corollary1",
+        "theorem5",
+        "corollary2",
+    ]
+
+
+# the abstract's two growth terms, (k-1)/(k+1) * 3n/(delta+1) * C(n, k) and
+# (k-1)/(k+1) * 2n/delta * C(n, k)
+ABSTRACT_TERMS = {
+    "theorem4": lambda n, delta, k: Fraction((k - 1) * 3 * n, (k + 1) * (delta + 1)) * comb(n, k),
+    "theorem5": lambda n, delta, k: Fraction((k - 1) * 2 * n, (k + 1) * delta) * comb(n, k),
+}
+
+
+@pytest.mark.parametrize("which", sorted(ABSTRACT_TERMS))
+def test_lead_is_the_abstracts_term(which):
+    lead = BOUNDS[which].lead
+    for n in range(1, 40):
+        for k in range(1, n + 1):
+            for delta in range(1, n + 2):
+                assert lead(n, delta, k) == ABSTRACT_TERMS[which](n, delta, k), (n, delta, k)
+
+
+@pytest.mark.parametrize("which", sorted(ABSTRACT_TERMS))
+def test_lead_is_the_whole_growth_term(which):
+    # what the RHS holds beyond `lead` is a constant per k-set: it does not
+    # change with n
+    row = BOUNDS[which]
+
+    def rest(n, delta, k):
+        return (row.rhs(n, delta, k) - row.lead(n, delta, k)) / comb(n, k)
+
+    for n in range(1, 30):
+        for k in range(1, n + 1):
+            for delta in range(1, n + 2):
+                assert rest(n, delta, k) == rest(n + 1, delta, k), (n, delta, k)
 
 
 def test_report_string_shape():

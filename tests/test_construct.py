@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from swindex import (
     BOUNDS,
     BoundReport,
+    Certificate,
     Graph,
     PreconditionError,
     WeightFn,
@@ -160,6 +161,38 @@ def test_verifier_searches_the_tree_once(searches):
     assert reports[-1].measured == steiner_wiener_weighted_tree(cert.tree, 1, 3)
     with pytest.raises(PreconditionError, match="out of range"):
         verify_certificate(cert, g, 61)
+
+
+C6 = cycle_graph(6)
+C6_PACKING = packing_spanning_tree(C6)
+K_CASES = [
+    pytest.param(C6_PACKING, C6, id="valid"),
+    pytest.param(dataclasses.replace(C6_PACKING, tree=path_graph(5)), C6, id="not_spanning"),
+    pytest.param(
+        Certificate(path_graph(1), ((0, 0),), (), ((0, 1),), (0,)),
+        path_graph(1),
+        id="one_vertex_matching",  # delta = 0
+    ),
+]
+
+
+@pytest.mark.parametrize("cert, g", K_CASES)
+def test_verifier_checks_k_before_any_report(cert, g):
+    # k is refused on entry, so no early return (a tree that does not span
+    # g, a matching with delta = 0) gets past it
+    for k in (0, g.n + 1, 99):
+        with pytest.raises(PreconditionError, match="out of range"):
+            verify_certificate(cert, g, k)
+    assert verify_certificate(cert, g, 1)
+
+
+def test_verifier_on_an_empty_graph_reports_at_any_k():
+    # no k is in range on an empty graph, and no tree spans it: the one
+    # spanning_tree report fails instead of k being refused
+    empty = certificate_from_json(EMPTY_PAYLOAD)
+    for k in (0, 1, 2):
+        reports = verify_certificate(empty, Graph.from_edges(0, []), k)
+        assert [(r.name, r.passed) for r in reports] == [("spanning_tree", False)]
 
 
 def test_certificate_json_round_trip():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import swindex
 from swindex import (
     PreconditionError,
     complete_bipartite,
@@ -20,6 +26,7 @@ from swindex import (
     triangle_free_extremal,
 )
 from swindex import steiner
+from swindex.families import LAYERED
 
 
 def test_sequential_sum_examples():
@@ -83,6 +90,62 @@ def test_family_assertion_grid():
             assert diameter(g) == d and g.min_degree() == delta
 
 
+# closed forms of the layered orders: G has d - 1 cliques of (delta + 1)/3
+# between two of delta, H has d - 3 independent sets of delta/2 between two
+# pairs of delta
+CLOSED_ORDERS = {
+    "G": (lambda d, delta: (d + 5) * (delta + 1) // 3 - 2, (2, 5, 8, 11), 1),
+    "H": (lambda d, delta: 4 * delta + (d - 3) * delta // 2, (2, 4, 6, 8), 3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_ORDERS))
+def test_layered_orders_match_closed_forms(family):
+    order, deltas, d_floor = CLOSED_ORDERS[family]
+    fam = LAYERED[family]
+    for delta in deltas:
+        for d in range(d_floor, 13):
+            assert order(d, delta) == sum(fam.sizes(d, delta)) == fam.build(d, delta).n
+
+
+# under -O, which strips assert statements, a build whose proof fails still
+# raises: with a wrong minimum degree in the row, and with diameter stubbed
+OPTIMIZED_BUILD = textwrap.dedent("""
+    import dataclasses
+    from swindex import families
+    from swindex.families import LAYERED, min_degree_extremal
+
+    assert False, "assert statements must be stripped"
+    good = LAYERED["G"]
+    LAYERED["G"] = dataclasses.replace(good, min_degree=lambda d, delta: delta + 1)
+    try:
+        min_degree_extremal(4, 2)
+    except AssertionError as exc:
+        print(exc)
+    LAYERED["G"] = good
+    families.diameter = lambda g: -1
+    try:
+        LAYERED["H"].build(4, 2)
+    except AssertionError as exc:
+        print(exc)
+""")
+
+
+def test_misbuilt_family_raises_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(swindex.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_BUILD],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "family G misbuilt at d=4, delta=2",
+        "family H misbuilt at d=4, delta=2",
+    ]
+
+
 def test_layer_blowup_dominates_path():
     # each path vertex blows up into a layer of >= (delta+1)/3 vertices, so
     # the index dominates the path's by the layer-size power
@@ -95,6 +158,7 @@ def test_layer_blowup_dominates_path():
 
 def test_sweep_rows_and_trends():
     rows = tightness_sweep("G", 2, 2, range(2, 9))
+    assert all(r.has_triangle for r in rows)
     assert [r.d for r in rows] == list(range(2, 9))
     assert [r.n for r in rows] == [d + 3 for d in range(2, 9)]
     assert rows[0].sw == 14 and rows[0].bound_term == Fraction(50, 3)
