@@ -16,7 +16,7 @@ from functools import cache
 from math import comb
 from typing import Callable
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UsageError
 from .graph import Graph, has_triangle, is_connected, is_two_connected
 from .steiner import _indices
 from .weights import WeightFn
@@ -164,19 +164,20 @@ def bound_rhs(which: str, **params) -> Fraction:
 
     Parameters are named as in `BOUNDS[which].needs`: n, delta, k for graph
     bounds; N (total weight) and C (minimum weight) for the weighted tree
-    bound. A missing or out-of-domain value raises PreconditionError.
+    bound. A missing or out-of-domain value raises UsageError, and an unknown
+    bound a plain PreconditionError.
     """
     row = _row(which)
     for name in row.needs:
         if params.get(name) is None:
-            raise PreconditionError(f"bound needs parameter --{name}")
+            raise UsageError(f"bound needs parameter --{name}")
     args = {name: params[name] for name in row.needs}
     low = {"n": row.min_n, "N": 1, "delta": 1, "C": 1, "k": 1}
     high = {"k": args.get("n", args.get("N"))}
     for name, value in args.items():
         if not low[name] <= value <= high.get(name, value):
             top = f" <= {high[name]}" if name in high else ""
-            raise PreconditionError(
+            raise UsageError(
                 f"bound '{which}' needs {low[name]} <= --{name}{top}, got {value}"
             )
     return _value(row, args)

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exact values (integers, fractions like ``5/3``) go to stdout; notes and
-error messages go to stderr. Exit codes: 0 success, 2 usage or input-format
-problems (including bad family parameters and files that cannot be read or
-written), 3 violated computation preconditions, 4 a checked bound or
-certificate condition that fails.
+error messages go to stderr. Exit codes: 0 success, 4 a checked bound or
+certificate condition that fails; a refusal's code follows from its type
+alone, in `main`: 2 for a file that cannot be read or written (OSError),
+malformed input (GraphFormatError) and parameters outside a family's or a
+bound's rules (UsageError), 3 for any other PreconditionError.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .construct import (
     packing_spanning_tree,
     verify_certificate,
 )
-from .errors import GraphFormatError, PreconditionError
-from .families import CLASSIC, LAYERED, check_sweep, classic, sweep_csv, tightness_sweep
+from .errors import GraphFormatError, PreconditionError, UsageError
+from .families import CLASSIC, LAYERED, classic, sweep_csv, tightness_sweep
 from .graph import Graph, format_edge_list, parse_edge_list
-from .steiner import steiner_wiener_weighted
+from .steiner import _require_k, steiner_wiener_weighted
 from .weights import WeightFn, parse_weight_file
 
 
@@ -121,20 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args) -> int:
-    try:
-        # input phase: any error here, in the file or the family, exits 2
-        g = parse_edge_list(Path(args.graph).read_text()) if args.graph else _family_graph(args)
-        weights = WeightFn.uniform(g.n)
-        if args.weights is not None:
-            weights = parse_weight_file(Path(args.weights).read_text(), g.n)
-        elif args.uniform_weight is not None:
-            if args.uniform_weight < 0:
-                raise GraphFormatError("uniform weight must be non-negative")
-            weights = WeightFn.uniform(g.n, args.uniform_weight)
-    except PreconditionError as exc:
-        _err(str(exc))
-        return 2
-    # raises PreconditionError unless 1 <= k <= weights.total
+    g = parse_edge_list(Path(args.graph).read_text()) if args.graph else _family_graph(args)
+    weights = WeightFn.uniform(g.n)
+    if args.weights is not None:
+        weights = parse_weight_file(Path(args.weights).read_text(), g.n)
+    elif args.uniform_weight is not None:
+        if args.uniform_weight < 0:
+            raise GraphFormatError("uniform weight must be non-negative")
+        weights = WeightFn.uniform(g.n, args.uniform_weight)
     sw = steiner_wiener_weighted(g, weights, args.k)
     print(sw if args.metric == "sw" else Fraction(sw, comb(weights.total, args.k)))
     return 0
@@ -146,18 +141,13 @@ def cmd_bound(args) -> int:
         for key in ("n", "delta", "k", "N", "C")
         if getattr(args, key) is not None
     }
-    try:
-        print(bound_rhs(args.which, **params))
-    except PreconditionError as exc:
-        _err(str(exc))
-        return 2
+    print(bound_rhs(args.which, **params))
     return 0
 
 
 def cmd_construct(args) -> int:
     g = parse_edge_list(Path(args.graph).read_text())
-    if not 1 <= args.k <= g.n:
-        raise PreconditionError(f"k={args.k} out of range 1..{g.n}")
+    _require_k(args.k, g.n)
     if args.method == "packing":
         cert = packing_spanning_tree(g, start=args.start)
     else:
@@ -177,15 +167,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if not getattr(args, "family", None):
-        _err("generate needs --family")
-        return 2
-    try:
-        g = _family_graph(args)
-    except PreconditionError as exc:
-        _err(str(exc))
-        return 2
-    text = format_edge_list(g)
+    if not args.family:
+        raise UsageError("generate needs --family")
+    text = format_edge_list(_family_graph(args))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -206,14 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    d_values = range(args.d_min, args.d_max + 1)
-    try:
-        check_sweep(args.family, args.delta, args.k, d_values)
-    except PreconditionError as exc:
-        _err(str(exc))
-        return 2
-    # what remains to refuse (k > n at some diameter) exits 3
-    rows = tightness_sweep(args.family, args.delta, args.k, d_values)
+    rows = tightness_sweep(args.family, args.delta, args.k, range(args.d_min, args.d_max + 1))
     text = sweep_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
@@ -241,7 +218,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (OSError, GraphFormatError) as exc:
+    except (OSError, GraphFormatError, UsageError) as exc:
         _err(str(exc))
         return 2
     except PreconditionError as exc:

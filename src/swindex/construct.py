@@ -24,6 +24,7 @@ from .graph import (
     is_connected,
     is_tree,
     norm_edge,
+    require_connected,
 )
 from .steiner import _indices, _require_k
 from .weights import WeightFn
@@ -76,10 +77,13 @@ class Certificate:
         return tuple(sorted({v for group in self.groups() for v in group}))
 
 
-def _within_three(g: Graph, source: int) -> list:
-    """Distances from source capped at 4. The values up to 3, the only ones
-    the constructions compare, are exact."""
-    return [4 if d is None else d for d in bfs_nearest(g, (source,), 3)[0]]
+def _search(h: Graph, sources, limit: int | None = None) -> tuple[list[int], list]:
+    """Distance to the nearest source, exact up to `limit` hops, with limit + 1
+    (n, which no distance reaches, without a limit) for anything farther; and
+    the lowest id among the nearest sources (None where not reached)."""
+    dist, near = bfs_nearest(h, sources, limit)
+    cap = h.n if limit is None else limit + 1
+    return [cap if d is None else d for d in dist], near
 
 
 def _walk_middle_edge(g: Graph, start: int, goal_row) -> tuple[int, int]:
@@ -111,18 +115,19 @@ def _grow_forest(g: Graph, first, next_anchor, reach: int, attach) -> tuple[Cert
         if star & in_tree:
             raise AssertionError("new star overlaps the grown forest")
         tree_edges.update(norm_edge(z, x) for z in group for x in g.adj[z])
-        rows = [_within_three(g, z) for z in group]
+        row, near = _search(g, group, 3)
         if anchors:
-            nearest, end = min(
-                (m, z) for z, row in zip(group, rows) for m in vertices if row[m] == 3
-            )
-            connector = _walk_middle_edge(g, end, _within_three(g, nearest))
+            # the group is at distance >= 3 from every earlier anchor vertex, so
+            # row[m] == 3 where some group vertex is at 3 from m, and near[m] is
+            # the lowest such vertex: one search finds the lowest (m, z) pair
+            nearest = min(m for m in vertices if row[m] == 3)
+            connector = _walk_middle_edge(g, near[nearest], _search(g, (nearest,), 3)[0])
             tree_edges.add(connector)
             connectors.append(connector)
         anchors.append(anchor)
         vertices.extend(group)
         in_tree |= star
-        dist_set = list(map(min, dist_set, *rows))
+        dist_set = list(map(min, dist_set, row))
         anchor = next_anchor(dist_set)
     far = [v for v in range(g.n) if dist_set[v] > reach]
     if far:
@@ -150,8 +155,7 @@ def packing_spanning_tree(g: Graph, start: int = 0) -> Certificate:
     (lowest id first). Leftover vertices all sit at distance 2 and attach
     next to their nearest anchor.
     """
-    if not is_connected(g) or g.n == 0:
-        raise PreconditionError("graph must be connected and non-empty")
+    require_connected(g)
     if not 0 <= start < g.n:
         raise PreconditionError(f"start vertex {start} out of range")
 
@@ -174,8 +178,9 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
     first). Leftover vertices attach layer by layer outward from the star
     forest, which preserves every vertex's distance to the matched set.
     """
-    if not is_connected(g) or g.n < 2:
-        raise PreconditionError("graph must be connected with at least one edge")
+    require_connected(g)
+    if g.n < 2:
+        raise PreconditionError("graph needs at least one edge")
     if has_triangle(g):
         raise PreconditionError("graph contains a triangle")
     all_edges = g.edges()
@@ -223,13 +228,6 @@ def matching_spanning_tree(g: Graph, start_edge=None) -> Certificate:
     return cert
 
 
-def _labelled_search(h: Graph, sources) -> tuple[list[int], list]:
-    """Distance to the nearest source, with n standing for unreachable, and
-    the lowest id among the nearest sources."""
-    dist, near = bfs_nearest(h, sources)
-    return [h.n if d is None else d for d in dist], near
-
-
 def _cross_edges(h: Graph, dist, near, owner) -> list[tuple[int, int, int]]:
     """(dist[u] + 1 + dist[v], i, j) for each edge uv of h whose ends lie
     nearest to different groups i and j; each is the length of a walk from
@@ -248,7 +246,7 @@ def _cross_edges(h: Graph, dist, near, owner) -> list[tuple[int, int, int]]:
 
 def _credited_distances(h: Graph, anchor_of, dist, near) -> list:
     """Distance in h from each vertex to the anchor it is credited to: the
-    labelled search's distance where that anchor is the vertex's label, else
+    sources' search's distance where that anchor is the vertex's label, else
     one full search from the anchor."""
     others = {a for v, a in enumerate(anchor_of) if a is not None and near[v] != a}
     rows = {a: bfs_distances(h, a) for a in others}
@@ -296,7 +294,7 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
             len(e) == 2 and all(v in owner for v in e) and g.has_edge(*e) for e in groups
         )
         reports.append(BoundReport.of("edges_form_matching", int(is_matching), 1, "ge"))
-    dist_set, near = _labelled_search(g, owner)
+    dist_set, near = _search(g, owner)
     crossings = _cross_edges(g, dist_set, near, owner)
     pair_min = 0 if shared else min((c[0] for c in crossings), default=3)
     if packing:
@@ -320,7 +318,7 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     tally_ok = sorted(wmap.items()) == [(v, cert.assignment.count(v)) for v in vertices]
     anchor_of = [a if a in owner else None for a in cert.assignment[:n]]
     anchor_of += [None] * (n - len(anchor_of))
-    tree_set, tree_near = _labelled_search(t, owner)
+    tree_set, tree_near = _search(t, owner)
     tree_hops = _credited_distances(t, anchor_of, tree_set, tree_near)
     if packing:
         hops, near_set = _credited_distances(g, anchor_of, dist_set, near), dist_set

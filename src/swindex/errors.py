@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-The CLI maps these onto exit codes: format problems exit 2, semantic
-precondition failures exit 3.
+The CLI maps these onto exit codes by type alone, in `cli.main`:
+`GraphFormatError` and `UsageError` exit 2, as does `OSError`, and any other
+`PreconditionError` exits 3.
 """
 
 
@@ -11,3 +12,7 @@ class GraphFormatError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was called outside its documented domain."""
+
+
+class UsageError(PreconditionError):
+    """A generator or bound formula was given parameters outside its own rules."""

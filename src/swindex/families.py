@@ -3,7 +3,8 @@ families whose indices track the minimum-degree and triangle-free bounds.
 
 Layered families are built as sequential sums (disjoint union plus a complete
 join between consecutive layers), so their diameters equal the number of
-joins and their structure is easy to audit.
+joins and their structure is easy to audit. Parameters outside a
+generator's own rules raise UsageError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .bounds import BOUNDS
-from .errors import PreconditionError
+from .errors import PreconditionError, UsageError
 from .graph import Graph, diameter, has_triangle
 from .steiner import steiner_wiener
 
@@ -31,7 +32,6 @@ __all__ = [
     "min_degree_extremal",
     "triangle_free_extremal",
     "SweepRow",
-    "check_sweep",
     "tightness_sweep",
     "sweep_csv",
 ]
@@ -39,39 +39,39 @@ __all__ = [
 
 def empty_graph(n: int) -> Graph:
     if n < 0:
-        raise PreconditionError("vertex count must be non-negative")
+        raise UsageError("vertex count must be non-negative")
     return Graph.from_edges(n, [])
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
-        raise PreconditionError("path needs at least one vertex")
+        raise UsageError("path needs at least one vertex")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise PreconditionError("cycle needs at least three vertices")
+        raise UsageError("cycle needs at least three vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(leaves: int) -> Graph:
     """Center 0 joined to the given number of leaves."""
     if leaves < 0:
-        raise PreconditionError("leaf count must be non-negative")
+        raise UsageError("leaf count must be non-negative")
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
-        raise PreconditionError("complete graph needs at least one vertex")
+        raise UsageError("complete graph needs at least one vertex")
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """Sides 0..a-1 and a..a+b-1."""
     if a < 1 or b < 1:
-        raise PreconditionError("both sides need at least one vertex")
+        raise UsageError("both sides need at least one vertex")
     return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
@@ -79,11 +79,11 @@ def classic(family: str, size: int, size2=None) -> Graph:
     """Build a classic family by name from its one or two sizes; a second
     size is ignored by families that take one."""
     if family not in CLASSIC:
-        raise PreconditionError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
     build, arity = CLASSIC[family]
     sizes = (size, size2)[:arity]
     if None in sizes:
-        raise PreconditionError(f"family {family} needs --size" + " and --size2" * (arity - 1))
+        raise UsageError(f"family {family} needs --size" + " and --size2" * (arity - 1))
     return build(*sizes)
 
 
@@ -94,9 +94,9 @@ def sequential_sum(parts) -> Graph:
     """
     parts = list(parts)
     if not parts:
-        raise PreconditionError("sequential sum needs at least one part")
+        raise UsageError("sequential sum needs at least one part")
     if any(p.n == 0 for p in parts):
-        raise PreconditionError("sequential sum parts must be non-empty")
+        raise UsageError("sequential sum parts must be non-empty")
     edges, lo = [], 0
     for p, nxt in zip(parts, [*parts[1:], empty_graph(0)]):
         mid = lo + p.n
@@ -149,11 +149,11 @@ class Layered:
 
     def check(self, d: int, delta: int) -> None:
         if d is None or delta is None:
-            raise PreconditionError(f"family {self.name} needs --d and --delta")
+            raise UsageError(f"family {self.name} needs --d and --delta")
         if not self.delta_ok(delta):
-            raise PreconditionError(f"family {self.name} needs {self.delta_rule}")
+            raise UsageError(f"family {self.name} needs {self.delta_rule}")
         if d < self.d_floor:
-            raise PreconditionError(f"family {self.name} needs d >= {self.d_floor}")
+            raise UsageError(f"family {self.name} needs d >= {self.d_floor}")
 
     def build(self, d: int, delta: int) -> Graph:
         """The graph at (d, delta), one part built per distinct layer size;
@@ -202,31 +202,26 @@ class SweepRow:
     has_triangle: bool
 
 
-def check_sweep(family: str, delta: int, k: int, d_values) -> Layered:
-    """The parameter rules of a sweep, checked before any graph is built:
-    the family's own rule at the smallest diameter, at least one diameter,
-    and k >= 2. Returns the family's row."""
-    if family not in LAYERED:
-        raise PreconditionError(f"unknown sweep family {family!r}")
-    if not d_values:
-        raise PreconditionError("sweep needs at least one diameter")
-    LAYERED[family].check(min(d_values), delta)
-    if k < 2:
-        raise PreconditionError("sweep needs k >= 2")
-    return LAYERED[family]
-
-
 def tightness_sweep(family: str, delta: int, k: int, d_values):
     """Exact index-to-bound ratios across a range of diameters.
 
     Each graph is measured against the `lead` of its family's bound row, the
-    growth term that scales with n; ratios are exact. k is checked at the
-    smallest diameter, the smallest order, before any graph is built; G and
-    H have a path as twin quotient, so no sweep enumerates.
+    growth term that scales with n; ratios are exact. Every parameter is
+    checked before any graph is built: the family, at least one diameter, the
+    family's rule at the smallest diameter and k >= 2 raise UsageError, and k
+    above the smallest order PreconditionError. G and H have a path as twin
+    quotient, so no sweep enumerates.
     """
     d_values = list(d_values)
-    fam = check_sweep(family, delta, k, d_values)
+    if family not in LAYERED:
+        raise UsageError(f"unknown sweep family {family!r}")
+    if not d_values:
+        raise UsageError("sweep needs at least one diameter")
+    fam = LAYERED[family]
     d = min(d_values)
+    fam.check(d, delta)
+    if k < 2:
+        raise UsageError("sweep needs k >= 2")
     n = sum(fam.sizes(d, delta))
     if k > n:
         raise PreconditionError(f"k={k} exceeds n={n} at d={d}")

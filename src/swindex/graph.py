@@ -154,6 +154,13 @@ def is_connected(g: Graph) -> bool:
     return None not in bfs_distances(g, 0)
 
 
+def require_connected(g: Graph, row=None) -> None:
+    """Raise PreconditionError unless g is non-empty and connected; `row`,
+    the distances from any one vertex if the caller has them, saves a search."""
+    if g.n == 0 or None in (bfs_distances(g, 0) if row is None else row):
+        raise PreconditionError("graph has no vertices" if g.n == 0 else "graph is disconnected")
+
+
 def twin_classes(g: Graph) -> list[list[int]]:
     """The twin classes of g, each a sorted list, sorted by lowest member:
     the true twins (equal N[v]), then the false twins (equal N(v)) among
@@ -185,8 +192,7 @@ def diameter(g: Graph) -> int:
     gives them a common neighbour). So diam g = max(inner, diam Q). On a tree
     a vertex farthest from any vertex ends a longest path, so two searches
     give diam Q; otherwise it takes one search per vertex of Q."""
-    if g.n == 0 or not is_connected(g):
-        raise PreconditionError("diameter needs a non-empty connected graph")
+    require_connected(g)
     classes = twin_classes(g)
     q = twin_quotient(g, classes)
     inner = max((1 if x[1] in g.adj[x[0]] else 2 for x in classes if len(x) > 1), default=0)

@@ -18,7 +18,7 @@ from struct import Struct, calcsize
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .graph import Graph, all_pairs_distances, bfs_distances, is_connected, is_tree
+from .graph import Graph, all_pairs_distances, bfs_distances, is_tree, require_connected
 from .graph import twin_classes, twin_quotient
 from .weights import WeightFn, as_weights
 
@@ -30,14 +30,6 @@ __all__ = [
     "steiner_wiener_weighted_naive",
     "steiner_wiener_weighted_tree",
 ]
-
-
-def _require_connected(g: Graph) -> None:
-    """Raise unless g is non-empty and connected."""
-    if g.n == 0:
-        raise PreconditionError("graph has no vertices")
-    if not is_connected(g):
-        raise PreconditionError("graph is disconnected")
 
 
 def _terminal_tuple(g: Graph, terminals) -> tuple[int, ...]:
@@ -152,8 +144,7 @@ def steiner_distance(g: Graph, terminals) -> int:
     """Fewest edges of a connected subgraph containing all terminals."""
     ts = _terminal_tuple(g, terminals)
     dist = bfs_distances(g, ts[0])  # proves g connected, and answers one or two terminals
-    if None in dist:
-        raise PreconditionError("graph is disconnected")
+    require_connected(g, dist)
     if len(ts) <= 2:
         return dist[ts[-1]]
     return _set_distance(_pack(all_pairs_distances(g), len(ts)), ts)
@@ -178,7 +169,7 @@ def avg_steiner_distance(g: Graph, k: int) -> Fraction:
 def steiner_wiener_weighted(g: Graph, weights, k: int) -> int:
     """Sum of d(S*) over all k-subsets of copies, S* the set of originals."""
     c = as_weights(weights, g.n)
-    _require_connected(g)
+    require_connected(g)
     _require_k(k, c.total)
     return _indices(g, c, (k,))[k]
 
@@ -273,7 +264,7 @@ def steiner_wiener_weighted_naive(g: Graph, weights, k: int) -> int:
     is checked against.
     """
     c = as_weights(weights, g.n)
-    _require_connected(g)
+    require_connected(g)
     _require_k(k, c.total)
     copies = [v for v in range(g.n) for _ in range(c[v])]
     packed = _pack(all_pairs_distances(g), min(k, g.n))

@@ -15,6 +15,7 @@ from math import comb
 
 from .errors import PreconditionError
 from .graph import Graph, _branch, bfs_distances, is_tree
+from .steiner import _require_k
 from .weights import as_weights
 
 __all__ = [
@@ -115,8 +116,7 @@ def straighten_to_path(tree: Graph, weights, k: int) -> tuple[Graph, list[Branch
     c = as_weights(weights, tree.n)
     if c.min_weight() < 1:
         raise PreconditionError("straightening requires weights >= 1")
-    if not 1 <= k <= c.total:
-        raise PreconditionError(f"k={k} out of range 1..{c.total}")
+    _require_k(k, c.total)
     t, trace = tree, []
     depth = bfs_distances(t, 0)
     parent = [min(nbrs, key=depth.__getitem__) if v else -1 for v, nbrs in enumerate(t.adj)]

@@ -7,6 +7,8 @@ contribute no copies.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import GraphFormatError, PreconditionError
 
 
@@ -14,7 +16,10 @@ class WeightFn:
     __slots__ = ("_values", "total")
 
     def __init__(self, values) -> None:
-        vals = tuple(int(v) for v in values)
+        try:  # index, not int: a float or a string is refused, never truncated
+            vals = tuple(map(index, values))
+        except TypeError as exc:
+            raise PreconditionError(f"weights must be integers: {exc}") from exc
         for i, v in enumerate(vals):
             if v < 0:
                 raise PreconditionError(f"weight of vertex {i} is negative")
@@ -72,13 +77,9 @@ class WeightFn:
 
 def as_weights(weights, n: int) -> WeightFn:
     """Coerce a WeightFn, a plain sequence, or a single int (uniform)."""
-    if isinstance(weights, WeightFn):
-        if len(weights) != n:
-            raise PreconditionError("weight vector length does not match graph")
-        return weights
     if isinstance(weights, int):
         return WeightFn.uniform(n, weights)
-    wf = WeightFn(weights)
+    wf = weights if isinstance(weights, WeightFn) else WeightFn(weights)
     if len(wf) != n:
         raise PreconditionError("weight vector length does not match graph")
     return wf

@@ -1,7 +1,8 @@
 """The public surface, pinned so that a change to it has to be deliberate:
 the names `swindex` exports, and the signatures of the names the benchmark
-harness in bench/ reads module by module, and that no check in the package
-is an assert statement."""
+harness in bench/ reads module by module, that no check in the package
+is an assert statement, and that only `cli.main` turns an exception into an
+exit code."""
 
 import ast
 import dataclasses
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import swindex
+from swindex.errors import UsageError
 
 PUBLIC = [
     "BOUNDS",
@@ -132,3 +134,23 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_usage_error_is_a_precondition_error():
+    # library callers that catch PreconditionError still catch a usage refusal
+    assert issubclass(UsageError, swindex.PreconditionError)
+    assert "UsageError" not in swindex.__all__
+
+
+def test_only_main_catches_in_the_cli():
+    # a refusal's exit code follows from its type, mapped once in main: no
+    # other function of cli.py may catch an exception
+    tree = ast.parse(Path(swindex.cli.__file__).read_text())
+    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    allowed = {id(node) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and id(node) not in allowed
+    ]
+    assert allowed and found == []

@@ -20,6 +20,7 @@ from swindex import (
     steiner_wiener,
 )
 from swindex.cli import main
+from swindex.errors import UsageError
 
 from ensembles import random_connected_bipartite, random_connected_graph, random_tree
 from oracles import theorem4_expanded, theorem5_expanded
@@ -88,14 +89,23 @@ def test_table_domain_checks(which, name):
     row = BOUNDS[which]
     assert bound_rhs(which, **VALID) > 0
     missing = {key: VALID[key] for key in row.needs if key != name}
-    with pytest.raises(PreconditionError, match=f"--{name}"):
+    with pytest.raises(UsageError, match=f"--{name}"):
         bound_rhs(which, **missing)
     assert main(["bound", "--which", which, *_flags(missing)]) == 2
     # n = 0 everywhere, n = 2 for the 2-connected bound
     bad = dict(VALID, **{name: OUT_OF_DOMAIN.get(name, row.min_n - 1)})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError):
         bound_rhs(which, **bad)
     assert main(["bound", "--which", which, *_flags(bad)]) == 2
+
+
+def test_unknown_bounds_are_not_usage_errors():
+    with pytest.raises(PreconditionError, match="unknown bound") as info:
+        bound_rhs("theorem9", n=3)
+    assert not isinstance(info.value, UsageError)
+    with pytest.raises(PreconditionError, match="unknown bound") as info:
+        check_all(path_graph(4), 2, ["theorem9"])
+    assert not isinstance(info.value, UsageError)
 
 
 def test_applicability():

@@ -72,6 +72,30 @@ def test_compute_error_codes(capsys, graph_file, tmp_path):
     assert code == 3 and "out of range" in err
 
 
+# one row per kind of refusal; `@name` is a file in the test's directory
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--family", "G", "--d", "3", "--delta", "4"], 2),
+    (["compute", "--family", "cycle", "--size", "2"], 2),
+    (["bound", "--which", "theorem4", "--n", "16", "--k", "2"], 2),
+    (["bound", "--which", "theorem1", "--n", "4", "--k", "5"], 2),
+    (["sweep", "--family", "G", "--delta", "2", "--k", "1", "--d-min", "2", "--d-max", "3"], 2),
+    (["sweep", "--family", "H", "--delta", "2", "--k", "12", "--d-min", "3", "--d-max", "8"], 3),
+    (["compute", "--graph", "@disconnected"], 3),
+    (["construct", "--graph", "@disconnected", "--method", "packing"], 3),
+    (["compute", "--graph", "@bad"], 2),
+    (["compute", "--graph", "@missing"], 2),
+], ids=[
+    "family_rule", "classic_size", "bound_missing", "bound_domain", "sweep_k_below_2",
+    "sweep_k_above_n", "disconnected", "construct_disconnected", "bad_file", "missing_file",
+])
+def test_exit_code_per_refusal_kind(argv, code, capsys, tmp_path):
+    (tmp_path / "bad").write_text("2 1\n1 0\n")
+    (tmp_path / "disconnected").write_text("3 1\n0 1\n")
+    argv = [str(tmp_path / tok[1:]) if tok.startswith("@") else tok for tok in argv]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "") and err.startswith("error: ")
+
+
 def test_bound_command(capsys):
     code, out, _ = run(capsys, "bound", "--which", "theorem4", "--n", "16", "--delta", "5", "--k", "2")
     assert code == 0 and out == "1120\n"

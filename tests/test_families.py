@@ -26,7 +26,8 @@ from swindex import (
     triangle_free_extremal,
 )
 from swindex import steiner
-from swindex.families import LAYERED
+from swindex.errors import UsageError
+from swindex.families import LAYERED, classic, star_graph
 
 
 def test_sequential_sum_examples():
@@ -179,6 +180,44 @@ def test_sweep_validates():
         tightness_sweep("G", 2, 1, range(2, 4))
     with pytest.raises(PreconditionError):
         tightness_sweep("X", 2, 2, range(2, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: empty_graph(-1),
+    lambda: path_graph(0),
+    lambda: cycle_graph(2),
+    lambda: star_graph(-1),
+    lambda: complete_graph(0),
+    lambda: complete_bipartite(0, 2),
+    lambda: classic("wheel", 4),
+    lambda: classic("path", None),
+    lambda: classic("complete_bipartite", 2),
+    lambda: sequential_sum([]),
+    lambda: sequential_sum([empty_graph(0)]),
+    lambda: min_degree_extremal(None, 2),
+    lambda: min_degree_extremal(3, 4),
+    lambda: triangle_free_extremal(4, 3),
+    lambda: triangle_free_extremal(2, 2),
+    lambda: tightness_sweep("X", 2, 2, range(3, 5)),
+    lambda: tightness_sweep("H", 2, 2, range(5, 3)),
+    lambda: tightness_sweep("G", 4, 2, range(3, 5)),
+    lambda: tightness_sweep("H", 2, 2, range(2, 5)),
+    lambda: tightness_sweep("G", 2, 1, range(3, 5)),
+], ids=[
+    "empty", "path", "cycle", "star", "complete", "complete_bipartite", "classic_unknown",
+    "classic_size", "classic_size2", "sum_no_parts", "sum_empty_part", "G_no_d", "G_delta",
+    "H_delta", "H_d_floor", "sweep_family", "sweep_no_diameter", "sweep_delta", "sweep_d_floor",
+    "sweep_k",
+])
+def test_family_rules_are_usage_errors(call):
+    with pytest.raises(UsageError):
+        call()
+
+
+def test_sweep_k_above_n_is_not_a_usage_error():
+    with pytest.raises(PreconditionError) as info:
+        tightness_sweep("H", 2, 12, range(3, 9))
+    assert not isinstance(info.value, UsageError)
 
 
 def test_sweep_refuses_before_building(searches):

@@ -119,6 +119,18 @@ def test_weighted_validates():
         steiner_wiener_weighted_tree(Graph.from_edges(2, []), [1, 1], 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: WeightFn([1.5, 2.9]),
+    lambda: steiner_wiener_weighted(path_graph(2), [1.5, 2.9], 2),
+    lambda: WeightFn(["3", "1"]),
+    lambda: as_weights(2.5, 3),
+], ids=["floats", "floats_in_index", "strings", "scalar_float"])
+def test_weights_must_be_integers(make):
+    # a non-integral weight is refused, never truncated into a wrong index
+    with pytest.raises(PreconditionError, match="integers"):
+        make()
+
+
 def test_trees_are_searched_once(monkeypatch, tmp_path, capsys):
     # one search proves a tree connected, and its edge count then proves it
     # a tree: the library calls and a weighted compute each search once
