@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Callable
 
 from .errors import PreconditionError, UsageError
-from .graph import Graph, has_triangle, is_connected, is_two_connected
+from .graph import Graph, has_triangle, is_connected, is_tree, is_two_connected
 from .steiner import _indices
 from .weights import WeightFn
 
@@ -103,9 +102,7 @@ def _lemma2(total: int, lightest: int, k: int) -> Fraction:
 
 _MIN_DEGREE = (lambda g: g.n >= 2 and g.min_degree() >= 1, "needs minimum degree >= 1")
 _TRIANGLE_FREE = (lambda g: not has_triangle(g), "graph contains a triangle")
-# requirements are read once g is proved connected, so its edge count
-# decides whether it is a tree
-_TREE = (lambda g: g.m == g.n - 1, "graph is not a tree")
+_TREE = (is_tree, "graph is not a tree")
 
 
 def _anchor_tree(names, stretch, lightest, extra, *requires) -> dict[str, Bound]:
@@ -207,11 +204,9 @@ def _report(which: str, measured: int, params: dict, name: str = "") -> BoundRep
 
 
 def _refusals(g: Graph, k: int, names) -> dict[str, str]:
-    """The reason each named bound does not apply to g, "" where it does.
-    Connectivity is proved once and each shared requirement evaluated once."""
+    """The reason each named bound does not apply to g, "" where it does."""
     if not is_connected(g):
         return dict.fromkeys(names, "graph is disconnected")
-    holds = cache(lambda need: need[0](g))
     out = {}
     for name in names:
         row = BOUNDS[name]
@@ -219,7 +214,7 @@ def _refusals(g: Graph, k: int, names) -> dict[str, str]:
             reason = "needs n >= 2 (Wiener index over pairs)" if g.n < 2 else ""
         else:
             reason = "" if 1 <= k <= g.n else f"k={k} out of range 1..{g.n}"
-        out[name] = reason or next((need[1] for need in row.requires if not holds(need)), "")
+        out[name] = reason or next((need[1] for need in row.requires if not need[0](g)), "")
     return out
 
 

@@ -26,8 +26,7 @@ from .graph import (
     norm_edge,
     require_connected,
 )
-from .steiner import _indices, _require_k
-from .weights import WeightFn
+from .steiner import _require_k, steiner_wiener
 
 __all__ = [
     "Certificate",
@@ -350,8 +349,7 @@ def verify_certificate(cert: Certificate, g: Graph, k: int = 2) -> list[BoundRep
     # the triangle-free bound divides by delta, which is 0 only on a single
     # vertex: no edge to match, so edges_form_matching has already failed
     if packing or delta:
-        # t is a proved tree: the dispatcher needs no second search
-        sw = _indices(t, WeightFn.uniform(n), (k,))[k]
+        sw = steiner_wiener(t, k)
         bound = "theorem4" if packing else "theorem5"
         name = "sw_within_min_degree_bound" if packing else "sw_within_triangle_free_bound"
         reports.append(_report(bound, sw, {"n": n, "delta": delta, "k": k}, name))

@@ -8,6 +8,7 @@ the unreachable marker, never a sentinel integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .errors import GraphFormatError, PreconditionError
 
@@ -25,24 +26,9 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
-        for u, nbrs in enumerate(self.adj):
-            prev = -1
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if v <= prev:
-                    raise ValueError(f"adjacency of {u} not strictly sorted")
-                prev = v
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u not in self.adj[v]:
-                    raise ValueError(f"edge {u}-{v} not symmetric")
+        # from_edges owns the rules: rebuilt from its own edges, adj must come back unchanged
+        if len(self.adj) != self.n or Graph.from_edges(self.n, self.edges()).adj != self.adj:
+            raise ValueError("adj must be n sorted, symmetric, loop-free neighbor tuples")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -66,11 +52,9 @@ class Graph:
 
     @classmethod
     def _trusted(cls, n: int, adj) -> "Graph":
-        """Graph from n sorted, symmetric, loop-free neighbor tuples.
-
-        Skips the checks of direct construction, which are O(sum deg^2):
-        callers have already validated every edge they put in `adj`.
-        """
+        """Graph from n sorted, symmetric, loop-free neighbor tuples, without
+        the checks of direct construction: callers have already validated
+        every edge they put in `adj`."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", tuple(adj))
@@ -98,6 +82,19 @@ class Graph:
         if not 0 <= u < self.n > v >= 0:
             raise PreconditionError(f"edge ({u},{v}) out of range")
         return v in self.adj[u]
+
+
+def _fact(compute):
+    """Hold compute(g), found from adj alone, in g's own __dict__: freed with
+    g, unread by ==, hash and repr. A miss calls the wrapper's __wrapped__."""
+
+    @wraps(compute)
+    def fact(g: Graph):
+        if compute.__name__ not in g.__dict__:
+            g.__dict__[compute.__name__] = fact.__wrapped__(g)
+        return g.__dict__[compute.__name__]
+
+    return fact
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -148,6 +145,7 @@ def all_pairs_distances(g: Graph) -> list:
     return [bfs_distances(g, u) for u in range(g.n)]
 
 
+@_fact
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
@@ -157,12 +155,13 @@ def is_connected(g: Graph) -> bool:
 def require_connected(g: Graph, row=None) -> None:
     """Raise PreconditionError unless g is non-empty and connected; `row`,
     the distances from any one vertex if the caller has them, saves a search."""
-    if g.n == 0 or None in (bfs_distances(g, 0) if row is None else row):
+    if g.n == 0 or not (is_connected(g) if row is None else None not in row):
         raise PreconditionError("graph has no vertices" if g.n == 0 else "graph is disconnected")
 
 
-def twin_classes(g: Graph) -> list[list[int]]:
-    """The twin classes of g, each a sorted list, sorted by lowest member:
+@_fact
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The twin classes of g, each a sorted tuple, sorted by lowest member:
     the true twins (equal N[v]), then the false twins (equal N(v)) among
     the vertices with no true twin. Every vertex is in exactly one class."""
     closed: dict = {}
@@ -172,12 +171,15 @@ def twin_classes(g: Graph) -> list[list[int]]:
     for v, *twins in closed.values():
         if not twins:
             opened.setdefault(g.adj[v], []).append(v)
-    return sorted([x for x in closed.values() if len(x) > 1] + list(opened.values()))
+    classes = [x for x in closed.values() if len(x) > 1] + list(opened.values())
+    return tuple(sorted(map(tuple, classes)))
 
 
-def twin_quotient(g: Graph, classes) -> Graph:
+@_fact
+def twin_quotient(g: Graph) -> Graph:
     """Q, induced on the lowest members of the `twin_classes` of g: classes
     are modules, so a lowest member sees each class it touches."""
+    classes = twin_classes(g)
     pos = {x[0]: i for i, x in enumerate(classes)}
     return Graph._trusted(len(classes), [tuple(pos[u] for u in g.adj[x[0]] if u in pos) for x in classes])
 
@@ -194,7 +196,7 @@ def diameter(g: Graph) -> int:
     give diam Q; otherwise it takes one search per vertex of Q."""
     require_connected(g)
     classes = twin_classes(g)
-    q = twin_quotient(g, classes)
+    q = twin_quotient(g)
     inner = max((1 if x[1] in g.adj[x[0]] else 2 for x in classes if len(x) > 1), default=0)
     if q.m == q.n - 1:
         dist = bfs_distances(q, 0)
@@ -227,12 +229,15 @@ def is_two_connected(g: Graph) -> bool:
     )
 
 
+@_fact
 def has_triangle(g: Graph) -> bool:
-    """Edge scan: an edge whose endpoints share a neighbor closes a triangle."""
-    nbr_sets = [set(nbrs) for nbrs in g.adj]
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u < v and nbr_sets[u] & nbr_sets[v]:
+    """Edge scan, each edge at its higher end against the lower end's neighbor
+    set, built as the scan passed it: the first shared neighbor is a triangle."""
+    nbr_sets = []
+    for u, nbrs in enumerate(g.adj):
+        nbr_sets.append(mine := set(nbrs))
+        for v in nbrs:
+            if v < u and not mine.isdisjoint(nbr_sets[v]):
                 return True
     return False
 

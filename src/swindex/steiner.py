@@ -209,7 +209,7 @@ def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None
     """
     classes = twin_classes(g)
     q, total = len(classes), c.total
-    if q == g.n or (quotient := twin_quotient(g, classes)).m != q - 1:
+    if q == g.n or (quotient := twin_quotient(g)).m != q - 1:
         return None
     a = WeightFn([c.weight_of(x) for x in classes])
     false = [(a_c, x) for a_c, x in zip(a.values(), classes) if len(x) > 1 and x[1] not in g.adj[x[0]]]

@@ -21,6 +21,8 @@ from swindex import (
 )
 from swindex.cli import main
 from swindex.errors import UsageError
+from swindex.graph import require_connected
+from swindex.steiner import _require_k
 
 from ensembles import random_connected_bipartite, random_connected_graph, random_tree
 from oracles import theorem4_expanded, theorem5_expanded
@@ -126,10 +128,24 @@ def test_applicability():
         assert not ok and "disconnected" in reason
 
 
+def test_refusal_notes_read_as_the_rules_raise():
+    # verify prints these notes on exit 0; they must not drift from the
+    # texts require_connected and _require_k raise for compute
+    two_components = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(PreconditionError) as raised:
+        require_connected(two_components)
+    assert applicable(two_components, "eq1", 2) == (False, str(raised.value))
+    with pytest.raises(PreconditionError) as raised:
+        _require_k(8, 7)
+    ok, reason = applicable(path_graph(7), "theorem1", 8)
+    assert not ok and reason and str(raised.value).startswith(reason)
+
+
 def test_check_all_proves_connectivity_once(searches):
-    # one search proves connectivity, after which lemma2's tree check is the
-    # edge count; eq2's 2-connectivity test walks branches, and a tree's SW_2
-    # and SW_3 come from the edge-cut formula
+    # one search proves connectivity, after which lemma2's tree check reads
+    # the edge count and the connectivity held on the graph; eq2's
+    # 2-connectivity test walks branches, and a tree's SW_2 and SW_3 come
+    # from the edge-cut formula
     tree = random_tree(30, random.Random(97))
     reports = check_all(tree, 3)
     assert len(searches) <= 1

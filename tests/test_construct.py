@@ -149,14 +149,18 @@ def test_tampered_certificate_fails():
 
 
 def test_verifier_searches_the_tree_once(searches):
-    # is_tree proves the certificate tree connected, and the index is read
-    # off the dispatcher's edge-cut branch without a second search; the other
-    # counted search links the anchor groups
+    # a certificate read back from JSON holds a fresh tree: is_tree proves it
+    # connected, and the index is read off the dispatcher's edge-cut branch
+    # without a second search; the other counted search links the anchor
+    # groups. A second verify finds the tree's connectivity held on it.
     g = random_connected_graph(60, random.Random(8), 0.1)
-    cert = packing_spanning_tree(g)
+    cert = certificate_from_json(certificate_to_json(packing_spanning_tree(g)))
     searches.clear()
     reports = verify_certificate(cert, g, 3)
     assert len(searches) == 2
+    searches.clear()
+    assert verify_certificate(cert, g, 3) == reports
+    assert len(searches) == 1
     assert all(r.passed for r in reports)
     assert reports[-1].measured == steiner_wiener_weighted_tree(cert.tree, 1, 3)
     with pytest.raises(PreconditionError, match="out of range"):

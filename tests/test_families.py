@@ -25,7 +25,7 @@ from swindex import (
     tightness_sweep,
     triangle_free_extremal,
 )
-from swindex import steiner
+from swindex import graph, steiner
 from swindex.errors import UsageError
 from swindex.families import LAYERED, classic, star_graph
 
@@ -238,6 +238,17 @@ def test_sweeps_never_enumerate():
         assert [r.n for r in rows] == [128, 130]
         rows = tightness_sweep("H", 2, 4, range(200, 202))
         assert [r.n for r in rows] == [205, 206]
+
+
+def test_a_sweep_row_finds_its_twin_classes_once(monkeypatch):
+    # the build's diameter proof and the index read one memo on the graph
+    calls = []
+    real = graph.twin_classes.__wrapped__
+    monkeypatch.setattr(graph.twin_classes, "__wrapped__", lambda g: calls.append(g) or real(g))
+    for family, delta in (("G", 5), ("H", 2)):
+        calls.clear()
+        rows = tightness_sweep(family, delta, 3, range(6, 9))
+        assert [g.n for g in calls] == [r.n for r in rows]
 
 
 def test_sweep_csv_format():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from swindex import (
     star_graph,
     triangle_free_extremal,
 )
-from swindex.graph import bfs_nearest
+from swindex.graph import bfs_nearest, twin_classes, twin_quotient
 
 from ensembles import random_connected_graph, random_tree
 from oracles import bfs_from_set, edge_distance, line_graph, power_graph
@@ -66,11 +68,30 @@ def test_graph_rejects_malformed():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
-    # adjacency must be sorted and symmetric
+
+
+@pytest.mark.parametrize("n, adj", [
+    (-1, ()),
+    (2, ((1,),)),
+    (1, ((), ())),
+    (2, ((2,), (0,))),
+    (2, ((-1,), ())),
+    (1, ((0,),)),
+    (3, ((2, 1), (0,), (0,))),
+    (2, ((1, 1), (0, 0))),
+    (2, ((1,), ())),
+    (2, ((), (0,))),
+    # a list is refused too: a stored list would leave the graph unhashable
+    # and open to change after its facts were memoized
+    (2, [(1,), (0,)]),
+    (2, ((1,), [0])),
+], ids=[
+    "negative_n", "short", "long", "out_of_range", "negative_id", "self_loop", "unsorted",
+    "duplicate", "asymmetric", "asymmetric_back", "list_adj", "list_row",
+])
+def test_direct_construction_refuses_malformed(n, adj):
     with pytest.raises(ValueError):
-        Graph(2, ((1,), ()))
-    with pytest.raises(ValueError):
-        Graph(2, ((1, 1), (0, 0)))
+        Graph(n, adj)
 
 
 def test_bfs_distances():
@@ -120,6 +141,39 @@ def test_has_triangle():
     assert not has_triangle(cycle_graph(5))
     assert not has_triangle(petersen())  # girth 5
     assert has_triangle(complete_graph(4))
+
+
+def test_facts_leave_equality_alone():
+    # a filled memo is not a field: ==, hash and repr still read n and adj
+    filled, bare = cycle_graph(6), cycle_graph(6)
+    facts = (is_connected(filled), twin_classes(filled), twin_quotient(filled), has_triangle(filled))
+    assert facts == (True, tuple((v,) for v in range(6)), filled, False)
+    assert filled == bare and hash(filled) == hash(bare) and repr(filled) == repr(bare)
+
+
+def test_facts_are_freed_with_their_graph(searches):
+    # g's facts are found on g itself, and held by g alone: a memo shared by
+    # equal graphs would answer from an earlier one, or keep g alive
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    assert is_connected(g) and has_triangle(g) and twin_quotient(g).n == 2
+    assert len(searches) == 1
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_each_fact_costs_at_most_one_search_per_graph(searches):
+    # is_connected searches once; the other facts search not at all, and a
+    # repeat call on the same object is answered from its memo
+    facts = (is_connected, twin_classes, twin_quotient, has_triangle, is_tree)
+    for g in (path_graph(6), cycle_graph(7), Graph.from_edges(4, [(0, 1), (2, 3)]),
+              min_degree_extremal(3, 2), Graph.from_edges(1, [])):
+        fresh = Graph.from_edges(g.n, g.edges())
+        searches.clear()
+        answers = [f(fresh) for f in facts]
+        assert len(searches) == (g.n > 1)
+        assert [f(fresh) for f in facts] == answers and len(searches) == (g.n > 1)
 
 
 def test_power_graph():

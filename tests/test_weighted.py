@@ -133,7 +133,8 @@ def test_weights_must_be_integers(make):
 
 def test_trees_are_searched_once(monkeypatch, tmp_path, capsys):
     # one search proves a tree connected, and its edge count then proves it
-    # a tree: the library calls and a weighted compute each search once
+    # a tree: the library calls, each on a fresh graph, and a weighted compute
+    # each search once; a repeat call on the same graph searches no more
     calls = []
     real = graph.bfs_nearest
 
@@ -147,14 +148,19 @@ def test_trees_are_searched_once(monkeypatch, tmp_path, capsys):
     (tmp_path / "t.txt").write_text(format_edge_list(t))
     argv = ["compute", "--graph", str(tmp_path / "t.txt"), "--uniform-weight", "2", "--k", "3"]
     for run in (
-        lambda: steiner_wiener(t, 3),
-        lambda: steiner_wiener_weighted(t, w, 3),
-        lambda: steiner_wiener_weighted_tree(t, w, 3),
-        lambda: main(argv),
+        lambda g: steiner_wiener(g, 3),
+        lambda g: steiner_wiener_weighted(g, w, 3),
+        lambda g: steiner_wiener_weighted_tree(g, w, 3),
     ):
+        fresh = Graph.from_edges(t.n, t.edges())
         calls.clear()
-        run()
+        run(fresh)
         assert len(calls) == 1
+        run(fresh)
+        assert len(calls) == 1
+    calls.clear()
+    main(argv)
+    assert len(calls) == 1
     assert capsys.readouterr().out == f"{steiner_wiener_weighted_tree(t, 2, 3)}\n"
 
 
