@@ -2,114 +2,21 @@
 branches toward paths, spanning-tree constructions with checkable
 certificates, and a table of exact rational bounds."""
 
-from .bounds import BOUND_IDS, BOUNDS, BoundReport, applicable, bound_rhs, check, check_all
-from .construct import (
-    Certificate,
-    certificate_from_json,
-    certificate_to_json,
-    matching_spanning_tree,
-    packing_spanning_tree,
-    verify_certificate,
-)
-from .errors import GraphFormatError, PreconditionError
-from .families import (
-    SweepRow,
-    classic,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    min_degree_extremal,
-    path_graph,
-    sequential_sum,
-    star_graph,
-    sweep_csv,
-    tightness_sweep,
-    triangle_free_extremal,
-)
-from .graph import (
-    Graph,
-    all_pairs_distances,
-    bfs_distances,
-    diameter,
-    format_edge_list,
-    has_triangle,
-    is_connected,
-    is_tree,
-    is_two_connected,
-    parse_edge_list,
-)
-from .steiner import (
-    avg_steiner_distance,
-    steiner_distance,
-    steiner_wiener,
-    steiner_wiener_weighted,
-    steiner_wiener_weighted_naive,
-    steiner_wiener_weighted_tree,
-)
-from .transforms import (
-    BranchMove,
-    moves_to_json,
-    relocate_branches,
-    relocation_sw_delta,
-    straighten_to_path,
-)
-from .weights import WeightFn, as_weights, parse_weight_file
+# each module's __all__ is its public surface; the package republishes them
+from . import bounds, construct, errors, families, graph, steiner, transforms, weights
+from .bounds import *
+from .construct import *
+from .errors import *
+from .families import *
+from .graph import *
+from .steiner import *
+from .transforms import *
+from .weights import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Graph",
-    "GraphFormatError",
-    "PreconditionError",
-    "WeightFn",
-    "as_weights",
-    "parse_weight_file",
-    "bfs_distances",
-    "all_pairs_distances",
-    "diameter",
-    "is_connected",
-    "is_tree",
-    "is_two_connected",
-    "has_triangle",
-    "parse_edge_list",
-    "format_edge_list",
-    "steiner_distance",
-    "steiner_wiener",
-    "avg_steiner_distance",
-    "steiner_wiener_weighted",
-    "steiner_wiener_weighted_naive",
-    "steiner_wiener_weighted_tree",
-    "BranchMove",
-    "relocate_branches",
-    "relocation_sw_delta",
-    "straighten_to_path",
-    "moves_to_json",
-    "BOUNDS",
-    "BOUND_IDS",
-    "BoundReport",
-    "bound_rhs",
-    "applicable",
-    "check",
-    "check_all",
-    "Certificate",
-    "packing_spanning_tree",
-    "matching_spanning_tree",
-    "verify_certificate",
-    "certificate_to_json",
-    "certificate_from_json",
-    "empty_graph",
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
-    "complete_graph",
-    "complete_bipartite",
-    "classic",
-    "sequential_sum",
-    "min_degree_extremal",
-    "triangle_free_extremal",
-    "SweepRow",
-    "tightness_sweep",
-    "sweep_csv",
+    *bounds.__all__, *construct.__all__, *errors.__all__, *families.__all__,
+    *graph.__all__, *steiner.__all__, *transforms.__all__, *weights.__all__,
 ]

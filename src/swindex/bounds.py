@@ -21,7 +21,6 @@ from .steiner import _indices
 from .weights import WeightFn
 
 __all__ = [
-    "Bound",
     "BoundReport",
     "BOUNDS",
     "BOUND_IDS",

@@ -136,12 +136,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    params = {
-        key: getattr(args, key)
-        for key in ("n", "delta", "k", "N", "C")
-        if getattr(args, key) is not None
-    }
-    print(bound_rhs(args.which, **params))
+    print(bound_rhs(args.which, n=args.n, delta=args.delta, k=args.k, N=args.N, C=args.C))
     return 0
 
 

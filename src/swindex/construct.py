@@ -132,7 +132,7 @@ def _grow_forest(g: Graph, first, next_anchor, reach: int, attach) -> tuple[Cert
     if far:
         raise AssertionError(f"vertices beyond distance {reach} of the anchors: {far}")
     tree_edges.update(attach(in_tree, vertices))
-    tree = Graph.from_edges(g.n, sorted(tree_edges))
+    tree = Graph.from_edges(g.n, tree_edges)
     if not is_tree(tree):
         raise AssertionError("construction did not produce a tree")
     # a tree that keeps every distance credits each vertex within reach hops

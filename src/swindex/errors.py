@@ -5,6 +5,11 @@ The CLI maps these onto exit codes by type alone, in `cli.main`:
 `PreconditionError` exits 3.
 """
 
+__all__ = [
+    "GraphFormatError",
+    "PreconditionError",
+]
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list or weight-file input."""

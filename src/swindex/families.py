@@ -26,8 +26,6 @@ __all__ = [
     "complete_graph",
     "complete_bipartite",
     "classic",
-    "CLASSIC",
-    "LAYERED",
     "sequential_sum",
     "min_degree_extremal",
     "triangle_free_extremal",

@@ -12,6 +12,19 @@ from functools import wraps
 
 from .errors import GraphFormatError, PreconditionError
 
+__all__ = [
+    "Graph",
+    "bfs_distances",
+    "all_pairs_distances",
+    "diameter",
+    "is_connected",
+    "is_tree",
+    "is_two_connected",
+    "has_triangle",
+    "parse_edge_list",
+    "format_edge_list",
+]
+
 MAX_VERTICES = 1_000_000
 """Largest vertex count an edge-list header may declare. The parser
 allocates one neighbor list per vertex before it reads an edge, so a
@@ -181,7 +194,8 @@ def twin_quotient(g: Graph) -> Graph:
     are modules, so a lowest member sees each class it touches."""
     classes = twin_classes(g)
     pos = {x[0]: i for i, x in enumerate(classes)}
-    return Graph._trusted(len(classes), [tuple(pos[u] for u in g.adj[x[0]] if u in pos) for x in classes])
+    adj = [tuple(pos[u] for u in g.adj[x[0]] if u in pos) for x in classes]
+    return Graph._trusted(len(classes), adj)
 
 
 def diameter(g: Graph) -> int:

@@ -212,7 +212,8 @@ def _twin_indices(g: Graph, c: WeightFn, ks: list[int]) -> dict[int, int] | None
     if q == g.n or (quotient := twin_quotient(g)).m != q - 1:
         return None
     a = WeightFn([c.weight_of(x) for x in classes])
-    false = [(a_c, x) for a_c, x in zip(a.values(), classes) if len(x) > 1 and x[1] not in g.adj[x[0]]]
+    false = [(a_c, x) for a_c, x in zip(a.values(), classes)
+             if len(x) > 1 and x[1] not in g.adj[x[0]]]
     return {
         k: _edge_cut_index(quotient, a, k)
         + (g.n - q) * comb(total, k)
@@ -282,9 +283,7 @@ def steiner_wiener_weighted_tree(t: Graph, weights, k: int) -> int:
     """The weighted index of a tree, by the edge-cut formula."""
     if not is_tree(t):
         raise PreconditionError("graph is not a tree")
-    c = as_weights(weights, t.n)
-    _require_k(k, c.total)
-    return _edge_cut_index(t, c, k)
+    return steiner_wiener_weighted(t, weights, k)
 
 
 def _edge_cut_index(t: Graph, c: WeightFn, k: int) -> int:

@@ -11,6 +11,12 @@ from operator import index
 
 from .errors import GraphFormatError, PreconditionError
 
+__all__ = [
+    "WeightFn",
+    "as_weights",
+    "parse_weight_file",
+]
+
 
 class WeightFn:
     __slots__ = ("_values", "total")

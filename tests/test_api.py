@@ -1,8 +1,9 @@
 """The public surface, pinned so that a change to it has to be deliberate:
-the names `swindex` exports, and the signatures of the names the benchmark
-harness in bench/ reads module by module, that no check in the package
-is an assert statement, and that only `cli.main` turns an exception into an
-exit code."""
+the names `swindex` exports, which are exactly the modules' own `__all__`
+lists, and the signatures of the names the benchmark harness in bench/ reads
+module by module, that no check in the package is an assert statement, that
+only `cli.main` turns an exception into an exit code, and that no line of the
+package is over 100 characters."""
 
 import ast
 import dataclasses
@@ -109,6 +110,38 @@ def test_public_names():
     assert sorted(swindex.__all__) == PUBLIC
     assert all(hasattr(swindex, name) for name in PUBLIC)
     assert isinstance(swindex.bounds.BOUND_IDS, tuple)  # the harness iterates it
+
+
+MODULES = ("bounds", "construct", "errors", "families", "graph", "steiner", "transforms", "weights")
+
+
+def test_each_module_list_is_what_the_package_republishes():
+    declared = ["__version__"]
+    for name in MODULES:
+        module = importlib.import_module(f"swindex.{name}")
+        for public in module.__all__:
+            assert public in vars(module), f"{name}.__all__ names undefined {public}"
+            assert getattr(swindex, public) is getattr(module, public)
+        declared += module.__all__
+    assert len(declared) == len(set(declared))  # no name is republished twice
+    assert sorted(declared) == sorted(swindex.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_submodules_are_not_shadowed(name):
+    # the harness reads swindex.<module>.<name>: no republished name may hide a module
+    assert inspect.ismodule(getattr(swindex, name))
+
+
+def test_package_lines_fit_100_columns():
+    package = Path(swindex.__file__).parent
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("qualified", sorted(HARNESS))
